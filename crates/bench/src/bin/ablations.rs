@@ -14,8 +14,8 @@
 //!
 //! Run: `cargo run -p vc-bench --bin ablations --release`
 
-use vc_asgd::job::run_job;
 use vc_asgd::{FleetKind, JobConfig};
+use vc_bench::{hours, run_table1};
 use vc_kvstore::Consistency;
 use vc_simnet::PreemptionModel;
 
@@ -36,13 +36,13 @@ fn main() {
     for sticky in [true, false] {
         let mut cfg = base();
         cfg.middleware.sticky_files = sticky;
-        let r = run_job(cfg).unwrap();
+        let r = run_table1(cfg).report;
         println!(
             "{:<10} {:>12.2} {:>12} {:>10.2}",
             sticky,
             r.bytes_transferred as f64 / 1e9,
             r.server_metrics.cache_hits,
-            r.total_time_h
+            hours(&r)
         );
     }
 
@@ -56,11 +56,11 @@ fn main() {
         let mut cfg = base();
         cfg.preemption = PreemptionModel::BernoulliPerSubtask { p: 0.10 };
         cfg.middleware.timeout_s = to_min * 60.0;
-        let r = run_job(cfg).unwrap();
+        let r = run_table1(cfg).report;
         println!(
             "{:<12} {:>10.2} {:>10} {:>12} {:>10}",
             to_min,
-            r.total_time_h,
+            hours(&r),
             r.server_metrics.timeouts,
             r.server_metrics.reassignments,
             r.server_metrics.stale_results
@@ -77,12 +77,12 @@ fn main() {
         for mode in [Consistency::Eventual, Consistency::Strong] {
             let mut cfg = base().with_pct(pn, 3, 4);
             cfg.consistency = mode;
-            let r = run_job(cfg).unwrap();
+            let r = run_table1(cfg).report;
             println!(
                 "{:<10} {:>4} {:>10.2} {:>14}",
                 mode.to_string(),
                 pn,
-                r.total_time_h,
+                hours(&r),
                 r.store_ops.lost_updates
             );
         }
@@ -94,10 +94,12 @@ fn main() {
     for (name, fleet) in [("uniform", FleetKind::Uniform), ("mixed", FleetKind::Mixed)] {
         let mut cfg = base().with_pct(5, 5, 2);
         cfg.fleet = fleet;
-        let r = run_job(cfg).unwrap();
+        let r = run_table1(cfg).report;
         println!(
             "{:<10} {:>10.2} {:>10}",
-            name, r.total_time_h, r.server_metrics.timeouts
+            name,
+            hours(&r),
+            r.server_metrics.timeouts
         );
     }
 
@@ -111,10 +113,13 @@ fn main() {
         let mut cfg = base().with_pct(3, 4, 2);
         cfg.preemption = PreemptionModel::BernoulliPerSubtask { p: 0.20 };
         cfg.middleware.replication = replication;
-        let r = run_job(cfg).unwrap();
+        let r = run_table1(cfg).report;
         println!(
             "{:<12} {:>10.2} {:>10} {:>12}",
-            replication, r.total_time_h, r.server_metrics.timeouts, r.server_metrics.assigned
+            replication,
+            hours(&r),
+            r.server_metrics.timeouts,
+            r.server_metrics.assigned
         );
     }
 
@@ -129,7 +134,7 @@ fn main() {
     ] {
         let mut cfg = base().with_pct(pn, 5, 4);
         cfg.consistency = mode;
-        let r = run_job(cfg).unwrap();
-        println!("  {name:<16} {:.2} h", r.total_time_h);
+        let r = run_table1(cfg).report;
+        println!("  {name:<16} {:.2} h", hours(&r));
     }
 }

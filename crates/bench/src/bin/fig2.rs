@@ -10,9 +10,8 @@
 //! Run: `cargo run -p vc-bench --bin fig2 --release`
 //! (set `REPRO_FAST=1` or `REPRO_EPOCHS=n` to shrink the run)
 
-use vc_asgd::job::run_job;
 use vc_asgd::{AlphaSchedule, JobConfig};
-use vc_bench::{print_run, repro_epochs, runs_to_csv, write_results};
+use vc_bench::{hours, print_run, repro_epochs, run_table1, runs_to_csv, write_results};
 
 fn main() {
     let epochs = repro_epochs();
@@ -24,9 +23,9 @@ fn main() {
         cfg.epochs = epochs;
         let label = cfg.pct_label();
         eprintln!("# running {label} ({epochs} epochs)...");
-        let report = run_job(cfg).expect("valid config");
-        print_run(&label, &report);
-        runs.push((label, report));
+        let run = run_table1(cfg);
+        print_run(&label, &run.report);
+        runs.push((label, run));
     }
 
     println!("Figure 2 summary (alpha = 0.95, {epochs} epochs):");
@@ -35,8 +34,8 @@ fn main() {
         println!(
             "{:<10} {:>10.3} {:>11.2}",
             label,
-            r.final_mean_acc(),
-            r.total_time_h
+            r.report.final_mean_acc(),
+            hours(&r.report)
         );
     }
     write_results("fig2.csv", &runs_to_csv(&runs));

@@ -8,14 +8,13 @@
 //! monotonically from T2.
 //!
 //! Timing is independent of the learned values, so this runner uses the
-//! driver's `timing_only` mode and reproduces the full 40-epoch clock in
-//! milliseconds.
+//! simulator's `timing_only` mode and reproduces the full 40-epoch clock in
+//! well under a second per configuration.
 //!
 //! Run: `cargo run -p vc-bench --bin fig3 --release`
 
-use vc_asgd::job::run_job;
 use vc_asgd::{AlphaSchedule, JobConfig};
-use vc_bench::write_results;
+use vc_bench::{hours, run_table1, write_results};
 
 fn main() {
     let epochs = 40;
@@ -32,9 +31,9 @@ fn main() {
             cfg.alpha = AlphaSchedule::Const(0.95);
             cfg.epochs = epochs;
             cfg.timing_only = true;
-            let report = run_job(cfg).expect("valid config");
-            row.push_str(&format!(" {:>8.2}", report.total_time_h));
-            csv.push_str(&format!("P{pn}C{cn},{tn},{:.4}\n", report.total_time_h));
+            let h = hours(&run_table1(cfg).report);
+            row.push_str(&format!(" {h:>8.2}"));
+            csv.push_str(&format!("P{pn}C{cn},{tn},{h:.4}\n"));
         }
         println!("{row}");
     }
@@ -47,7 +46,7 @@ fn main() {
         cfg.alpha = AlphaSchedule::Const(0.95);
         cfg.epochs = epochs;
         cfg.timing_only = true;
-        run_job(cfg).unwrap().total_time_h
+        hours(&run_table1(cfg).report)
     };
     let p1t4 = time(1, 3, 4);
     let p1t8 = time(1, 3, 8);

@@ -10,9 +10,8 @@
 //! Run: `cargo run -p vc-bench --bin fig4 --release`
 //! (set `REPRO_FAST=1` or `REPRO_EPOCHS=n` to shrink the run)
 
-use vc_asgd::job::run_job;
 use vc_asgd::{AlphaSchedule, JobConfig};
-use vc_bench::{print_run, repro_epochs, runs_to_csv, write_results};
+use vc_bench::{hours, print_run, repro_epochs, run_table1, runs_to_csv, write_results};
 
 fn main() {
     let epochs = repro_epochs();
@@ -29,9 +28,9 @@ fn main() {
         cfg.epochs = epochs;
         let label = sched.label();
         eprintln!("# running P3C3T4 {label} ({epochs} epochs)...");
-        let report = run_job(cfg).expect("valid config");
-        print_run(&label, &report);
-        runs.push((label, report));
+        let run = run_table1(cfg);
+        print_run(&label, &run.report);
+        runs.push((label, run));
     }
 
     println!("Figure 4 summary (P3C3T4, {epochs} epochs):");
@@ -41,6 +40,7 @@ fn main() {
     );
     for (label, r) in &runs {
         let spread = r
+            .report
             .epochs
             .last()
             .map(|e| e.max_val_acc - e.min_val_acc)
@@ -48,9 +48,9 @@ fn main() {
         println!(
             "{:<14} {:>10.3} {:>10.3} {:>12.2}",
             label,
-            r.final_mean_acc(),
+            r.report.final_mean_acc(),
             spread,
-            r.total_time_h
+            hours(&r.report)
         );
     }
     write_results("fig4.csv", &runs_to_csv(&runs));

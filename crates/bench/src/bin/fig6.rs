@@ -9,10 +9,9 @@
 //!
 //! Run: `cargo run -p vc-bench --bin fig6 --release`
 
-use vc_asgd::job::run_job;
 use vc_asgd::{AlphaSchedule, JobConfig};
 use vc_baselines::serial::{run_serial, SerialConfig};
-use vc_bench::{repro_epochs, write_results};
+use vc_bench::{hours, repro_epochs, run_table1, write_results};
 
 fn main() {
     let epochs = repro_epochs();
@@ -22,12 +21,13 @@ fn main() {
     cfg.epochs = epochs;
     cfg.track_test_acc = true;
     eprintln!("# running distributed P5C5T2 Var ({epochs} epochs)...");
-    let dist = run_job(cfg).expect("valid config");
+    let dist = run_table1(cfg);
+    let dist_h = hours(&dist.report);
 
     // Size the serial run to cover the same simulated horizon.
     let mut scfg = SerialConfig::paper_default(42);
     let serial_epoch_h = scfg.epoch_duration_s(50) / 3600.0;
-    scfg.epochs = ((dist.total_time_h / serial_epoch_h).ceil() as usize).max(2);
+    scfg.epochs = ((dist_h / serial_epoch_h).ceil() as usize).max(2);
     eprintln!("# running serial baseline ({} epochs)...", scfg.epochs);
     let serial = run_serial(&scfg);
 
@@ -36,13 +36,13 @@ fn main() {
         "{:<12} {:>8} {:>10} {:>10}",
         "curve", "hours", "val acc", "test acc"
     );
-    for e in &dist.epochs {
+    for (e, t) in dist.report.epochs.iter().zip(&dist.test_acc) {
         println!(
-            "{:<12} {:>8.2} {:>10.3} {:>10}",
+            "{:<12} {:>8.2} {:>10.3} {:>10.3}",
             "distributed",
-            e.end_time_h,
+            e.end_wall_s / 3600.0,
             e.mean_val_acc,
-            e.test_acc.map(|t| format!("{t:.3}")).unwrap_or_default()
+            t
         );
     }
     for e in &serial.epochs {
@@ -54,9 +54,9 @@ fn main() {
 
     // Matched-time comparison at the distributed horizon (the paper's
     // "at the end of 8.4 hours" observation).
-    let t = dist.total_time_h;
+    let t = dist_h;
     let serial_at = serial.val_acc_at_hours(t).unwrap_or(0.0);
-    let dist_final = dist.final_mean_acc();
+    let dist_final = dist.report.final_mean_acc();
     println!(
         "\nAt {t:.1} h: serial {serial_at:.3} vs distributed {dist_final:.3} (paper: 0.82 vs 0.73)"
     );
@@ -69,7 +69,7 @@ fn main() {
         }
         vals.windows(2).map(|w| (w[1] - w[0]).abs()).sum::<f32>() / (vals.len() - 1) as f32
     };
-    let d_vals: Vec<f32> = dist.epochs.iter().map(|e| e.mean_val_acc).collect();
+    let d_vals: Vec<f32> = dist.report.epochs.iter().map(|e| e.mean_val_acc).collect();
     let s_vals: Vec<f32> = serial.epochs.iter().map(|e| e.val_acc).collect();
     println!(
         "Curve roughness (mean |Δacc| per epoch): distributed {:.4}, serial {:.4}",
@@ -78,13 +78,13 @@ fn main() {
     );
 
     let mut csv = String::from("curve,epoch,hours,val_acc,test_acc\n");
-    for e in &dist.epochs {
+    for (e, t) in dist.report.epochs.iter().zip(&dist.test_acc) {
         csv.push_str(&format!(
-            "distributed,{},{:.4},{:.4},{}\n",
+            "distributed,{},{:.4},{:.4},{:.4}\n",
             e.epoch,
-            e.end_time_h,
+            e.end_wall_s / 3600.0,
             e.mean_val_acc,
-            e.test_acc.map(|t| format!("{t:.4}")).unwrap_or_default()
+            t
         ));
     }
     for e in &serial.epochs {

@@ -14,8 +14,8 @@
 
 use bytes::Bytes;
 use std::time::Instant;
-use vc_asgd::job::run_job;
 use vc_asgd::JobConfig;
+use vc_bench::{hours, run_table1};
 use vc_cost::DbOverhead;
 use vc_kvstore::{Consistency, LatencyModel, VersionedStore};
 
@@ -76,11 +76,11 @@ fn main() {
         cfg.epochs = 40;
         cfg.timing_only = true;
         cfg.consistency = mode;
-        let r = run_job(cfg).expect("valid config");
+        let r = run_table1(cfg).report;
         println!(
             "{:<10} {:>12.2} {:>14} {:>13}",
             mode.to_string(),
-            r.total_time_h,
+            hours(&r),
             r.store_ops.lost_updates,
             r.store_ops.transactions
         );

@@ -12,8 +12,8 @@
 //!
 //! Run: `cargo run -p vc-bench --bin sec4e --release`
 
-use vc_asgd::job::run_job;
 use vc_asgd::JobConfig;
+use vc_bench::{hours, run_table1};
 use vc_cost::{simulate_extra_time_s, FleetCost, TimeoutAnalysis};
 use vc_simnet::{table1, PreemptionModel};
 
@@ -83,5 +83,5 @@ fn des_hours(preemption: PreemptionModel, seed_offset: u64) -> f64 {
     cfg.epochs = 40;
     cfg.timing_only = true;
     cfg.preemption = preemption;
-    run_job(cfg).expect("valid config").total_time_h
+    hours(&run_table1(cfg).report)
 }

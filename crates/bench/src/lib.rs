@@ -1,7 +1,9 @@
 //! # vc-bench
 //!
 //! The experiment harness: one runner binary per table/figure of the paper
-//! (see DESIGN.md §4 for the index) plus criterion micro-benchmarks.
+//! (see DESIGN.md §4 for the index), each running its jobs on the
+//! deterministic simulator with the paper's Table I timing
+//! ([`run_table1`]), plus the `bench_*` performance binaries.
 //!
 //! Every runner prints a human-readable table to stdout and writes a CSV
 //! under `results/` so `fig5` (the zoom of `fig4`) and EXPERIMENTS.md can
@@ -18,10 +20,20 @@
 //! epochs — they skip real training, so they are cheap at any scale.
 
 pub mod legacy;
+pub mod report;
+
+pub use report::{hours, print_run, runs_to_csv};
 
 use std::io::Write;
 use std::path::PathBuf;
-use vc_asgd::JobReport;
+use vc_asgd::JobConfig;
+use vc_runtime::{run_scenario, Scenario, SimOutcome};
+
+/// Runs `job` on the deterministic simulator with the paper's Table I
+/// testbed timing.
+pub fn run_table1(job: JobConfig) -> SimOutcome {
+    run_scenario(&Scenario::table1(job)).expect("valid config")
+}
 
 /// Epochs for real-training experiment runs, honouring `REPRO_EPOCHS` /
 /// `REPRO_FAST` (see crate docs).
@@ -63,50 +75,6 @@ pub fn write_results(name: &str, content: &str) {
     }
 }
 
-/// Renders a set of labelled runs as one long-format CSV:
-/// `label,epoch,alpha,hours,mean_acc,min_acc,max_acc,test_acc`.
-pub fn runs_to_csv(runs: &[(String, JobReport)]) -> String {
-    let mut out = String::from("label,epoch,alpha,hours,mean_acc,min_acc,max_acc,test_acc\n");
-    for (label, report) in runs {
-        for e in &report.epochs {
-            out.push_str(&format!(
-                "{label},{},{:.4},{:.4},{:.4},{:.4},{:.4},{}\n",
-                e.epoch,
-                e.alpha,
-                e.end_time_h,
-                e.mean_val_acc,
-                e.min_val_acc,
-                e.max_val_acc,
-                e.test_acc.map(|t| format!("{t:.4}")).unwrap_or_default(),
-            ));
-        }
-    }
-    out
-}
-
-/// Prints an epoch table for one run, paper-style.
-pub fn print_run(label: &str, report: &JobReport) {
-    println!("## {label}");
-    println!(
-        "{:>5} {:>7} {:>8} {:>7} {:>7} {:>7}",
-        "epoch", "alpha", "hours", "mean", "min", "max"
-    );
-    for e in &report.epochs {
-        println!(
-            "{:>5} {:>7.3} {:>8.3} {:>7.3} {:>7.3} {:>7.3}",
-            e.epoch, e.alpha, e.end_time_h, e.mean_val_acc, e.min_val_acc, e.max_val_acc
-        );
-    }
-    println!(
-        "   => total {:.2} h, final val {:.3}, test {:.3}, lost updates {}, timeouts {}\n",
-        report.total_time_h,
-        report.final_val_acc,
-        report.final_test_acc,
-        report.store_ops.lost_updates,
-        report.server_metrics.timeouts
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,7 +89,7 @@ mod tests {
 
     #[test]
     fn csv_shape() {
-        let runs: Vec<(String, JobReport)> = Vec::new();
+        let runs: Vec<(String, SimOutcome)> = Vec::new();
         let csv = runs_to_csv(&runs);
         assert!(csv.starts_with("label,epoch"));
     }

@@ -1,5 +1,5 @@
-//! The client-side compute step, shared by the discrete-event simulator
-//! ([`crate::job`]) and the real multi-threaded runtime (`vc-runtime`).
+//! The client-side compute step, shared by the deterministic simulator
+//! (`vc_runtime::sim`) and the real multi-threaded runtime (`vc-runtime`).
 //!
 //! A BOINC client that receives a workunit does exactly one thing: load the
 //! shipped parameter snapshot into a model replica, run `local_epochs`
@@ -28,35 +28,11 @@ pub fn client_rng(seed: u64, epoch: usize, shard: usize) -> StdRng {
 
 /// Trains one client replica: start from `snapshot`, run
 /// `cfg.local_epochs` over the shard's `data`, return the replica's
-/// parameters (the payload the client uploads).
-pub fn train_client_replica(
-    cfg: &JobConfig,
-    snapshot: &[f32],
-    data: &Dataset,
-    epoch: usize,
-    shard: usize,
-) -> Vec<f32> {
-    let mut model = cfg.model.build(cfg.seed);
-    model.set_params_flat(snapshot);
-    let mut opt = cfg.optimizer.build(snapshot.len());
-    let mut rng = client_rng(cfg.seed, epoch, shard);
-    train_minibatch(
-        &mut model,
-        &mut opt,
-        &data.images,
-        &data.labels,
-        cfg.batch_size,
-        cfg.local_epochs,
-        5.0,
-        &mut rng,
-    );
-    model.params_flat()
-}
-
-/// [`train_client_replica`] through the zero-allocation workspace path.
-/// Bit-identical to the plain variant for the same `(seed, epoch, shard)`
-/// (see [`vc_optim::train_minibatch_ws`]); a long-lived worker passes the
-/// same `tws` to every subtask so steady-state steps reuse all buffers.
+/// parameters (the payload the client uploads). Runs the zero-allocation
+/// workspace path, bit-identical to plain [`vc_optim::train_minibatch`] for
+/// the same `(seed, epoch, shard)` (the tests pin it); a long-lived worker
+/// passes the same `tws` to every subtask so steady-state steps reuse all
+/// buffers.
 /// `timer`, when given, receives one observation per optimizer step.
 pub fn train_client_replica_ws(
     cfg: &JobConfig,
@@ -131,6 +107,32 @@ pub fn warm_start_params(
 mod tests {
     use super::*;
     use vc_data::ShardSet;
+
+    /// The plain (allocating) client step: the reference the workspace
+    /// path must reproduce bit for bit.
+    fn train_client_replica(
+        cfg: &JobConfig,
+        snapshot: &[f32],
+        data: &Dataset,
+        epoch: usize,
+        shard: usize,
+    ) -> Vec<f32> {
+        let mut model = cfg.model.build(cfg.seed);
+        model.set_params_flat(snapshot);
+        let mut opt = cfg.optimizer.build(snapshot.len());
+        let mut rng = client_rng(cfg.seed, epoch, shard);
+        train_minibatch(
+            &mut model,
+            &mut opt,
+            &data.images,
+            &data.labels,
+            cfg.batch_size,
+            cfg.local_epochs,
+            5.0,
+            &mut rng,
+        );
+        model.params_flat()
+    }
 
     #[test]
     fn replica_training_is_deterministic() {

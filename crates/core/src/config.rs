@@ -101,18 +101,12 @@ pub struct JobConfig {
     /// Skip real training and per-update evaluation: clients return the
     /// snapshot unchanged and accuracies read as zero. The simulated
     /// *timing* is identical, so time-shape experiments (Fig. 3, §IV-D,
-    /// §IV-E) run in milliseconds.
+    /// §IV-E) need no training at all. Simulation only: the threaded
+    /// runtime rejects it.
     pub timing_only: bool,
     /// Also score the held-out test split at every epoch end (Fig. 6's
     /// right panel). Costs one extra evaluation per epoch.
     pub track_test_acc: bool,
-    /// Dynamic parameter-server scaling (§III-D's proposed extension):
-    /// when enabled, the driver grows the parameter-server pool (up to
-    /// `pn_max`) while the assimilation queue backs up and shrinks it when
-    /// idle; `pn` is the starting size.
-    pub pn_autoscale: bool,
-    /// Upper bound for autoscaling.
-    pub pn_max: usize,
     /// Warm-start epochs (§II-B, Downpour's remedy for delayed gradients):
     /// serial synchronous passes over the full training set before
     /// distributed training begins, charged against the simulated clock.
@@ -151,8 +145,6 @@ impl JobConfig {
             replacement_delay_s: 120.0,
             timing_only: false,
             track_test_acc: false,
-            pn_autoscale: false,
-            pn_max: 8,
             warm_start_epochs: 0,
             seed,
         }
@@ -202,12 +194,6 @@ impl JobConfig {
         }
         if self.epochs == 0 {
             return Err("need at least one epoch".into());
-        }
-        if self.pn_autoscale && self.pn_max < self.pn {
-            return Err(format!(
-                "pn_max {} below starting pn {}",
-                self.pn_max, self.pn
-            ));
         }
         if self.data.train_n < self.shards {
             return Err(format!(

@@ -2,8 +2,8 @@
 //!
 //! **The paper's primary contribution**: VC-ASGD, an asynchronous parameter-
 //! update scheme for distributed deep-learning training on volunteer-
-//! computing-like fleets, together with the training-job driver that runs it
-//! over the workspace's substrates.
+//! computing-like fleets, together with the job description and client step
+//! every execution substrate shares.
 //!
 //! ## The scheme (§III-C)
 //!
@@ -21,30 +21,25 @@
 //! α may vary per epoch ([`alpha::AlphaSchedule`]); the paper's "Var"
 //! schedule is `α_e = e/(e+1)`.
 //!
-//! ## The driver ([`job`])
+//! ## The driver
 //!
-//! [`job::TrainingJob`] wires every substrate together: the synthetic
-//! dataset is sharded by the work generator, the BOINC-like middleware
-//! schedules subtasks onto a simulated heterogeneous fleet, clients train
-//! *real* models (one per subtask, in parallel), results are validated and
-//! assimilated through a strong- or eventually-consistent parameter store,
-//! and a discrete-event clock advances through downloads, training,
-//! uploads, timeouts, preemptions and assimilation queueing. The output is
-//! the per-epoch `(simulated time, validation accuracy mean/min/max)`
-//! series that the paper's Figures 2–6 plot.
+//! This crate holds the scheme itself — the α schedule ([`alpha`]), the
+//! client training step ([`client`]) and the job description
+//! ([`JobConfig`]). It runs on one discrete-event engine,
+//! `vc_runtime::sim`: `Scenario::table1(job)` shards the synthetic dataset
+//! through the work generator, schedules subtasks through the BOINC-like
+//! middleware onto a simulated heterogeneous fleet timed by the paper's
+//! Table I testbed, trains *real* client models, and assimilates the
+//! results through the sharded parameter service's Eq. (1) merge over a
+//! strong- or eventually-consistent store. The per-epoch
+//! `(simulated time, validation accuracy mean/min/max)` series it reports
+//! is what the paper's Figures 2–6 plot. The threaded `vc_runtime::Runtime`
+//! runs the same job on OS threads and wall-clock time.
 
 pub mod alpha;
-pub mod assimilator;
 pub mod client;
 pub mod config;
-pub mod job;
-pub mod report;
 
 pub use alpha::AlphaSchedule;
-pub use assimilator::VcAsgdAssimilator;
-pub use client::{
-    result_is_valid, train_client_replica, train_client_replica_ws, warm_start_params,
-};
+pub use client::{result_is_valid, train_client_replica_ws, warm_start_params};
 pub use config::{FleetKind, JobConfig};
-pub use job::TrainingJob;
-pub use report::{EpochStats, JobReport};

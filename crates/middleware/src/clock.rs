@@ -10,9 +10,8 @@
 //! `vc-runtime` coordinator, the checkpoint timer) runs unmodified on
 //! either substrate.
 
+use crate::event::WakeupQueue;
 use parking_lot::Mutex;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::time::Instant;
 use vc_simnet::SimTime;
@@ -86,16 +85,9 @@ impl Clock for WallClock {
     }
 }
 
-/// One pending wake-up in a [`VirtualClock`]'s event queue: delivery time,
-/// then an insertion sequence number (FIFO among equal times), then the
-/// caller's opaque token identifying who asked to be woken.
-type QueuedWakeup = Reverse<(SimTime, u64, u64)>;
-
 struct VirtualInner {
-    now: SimTime,
+    queue: WakeupQueue,
     offset_s: f64,
-    queue: BinaryHeap<QueuedWakeup>,
-    seq: u64,
 }
 
 /// A clock that advances only when told to: the heart of deterministic
@@ -131,28 +123,22 @@ impl VirtualClock {
         );
         VirtualClock {
             inner: Arc::new(Mutex::new(VirtualInner {
-                now: SimTime::from_secs(offset_s),
+                queue: WakeupQueue::starting_at(SimTime::from_secs(offset_s)),
                 offset_s,
-                queue: BinaryHeap::new(),
-                seq: 0,
             })),
         }
     }
 
     /// The current virtual reading.
     pub fn now(&self) -> SimTime {
-        self.inner.lock().now
+        self.inner.lock().queue.now()
     }
 
     /// Registers a wake-up for `token` at absolute time `at` (clamped to
     /// `now` if already past). Equal-time wake-ups fire in registration
     /// order.
     pub fn schedule(&self, at: SimTime, token: u64) {
-        let mut g = self.inner.lock();
-        let at = at.max(g.now);
-        let seq = g.seq;
-        g.seq += 1;
-        g.queue.push(Reverse((at, seq, token)));
+        self.inner.lock().queue.schedule(at, token);
     }
 
     /// Registers a wake-up `delay_s` seconds from now.
@@ -167,21 +153,14 @@ impl VirtualClock {
 
     /// The earliest scheduled instant, if any.
     pub fn peek(&self) -> Option<SimTime> {
-        self.inner
-            .lock()
-            .queue
-            .peek()
-            .map(|Reverse((at, _, _))| *at)
+        self.inner.lock().queue.peek()
     }
 
     /// Pops the earliest wake-up, advances `now` to its instant, and
     /// returns `(instant, token)`. Returns `None` when the queue is empty —
     /// in a simulation, that means every actor is idle forever.
     pub fn advance(&self) -> Option<(SimTime, u64)> {
-        let mut g = self.inner.lock();
-        let Reverse((at, _, token)) = g.queue.pop()?;
-        g.now = g.now.max(at);
-        Some((g.now, token))
+        self.inner.lock().queue.pop()
     }
 
     /// Number of pending wake-ups.
@@ -218,7 +197,7 @@ impl Clock for VirtualClock {
 
     fn elapsed_s(&self) -> f64 {
         let g = self.inner.lock();
-        g.now.as_secs() - g.offset_s
+        g.queue.now().as_secs() - g.offset_s
     }
 }
 

@@ -19,6 +19,7 @@
 //! while the scheduler tracks workunit state.
 
 pub mod clock;
+mod event;
 pub mod host;
 pub mod server;
 pub mod timer;

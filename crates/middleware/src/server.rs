@@ -1378,9 +1378,6 @@ mod tests {
         s.add_epoch(1, 2, 1, t(0.0));
         assert_eq!(s.next_deadline(), None);
         s.request_work(HostId(0), t(0.0)).unwrap();
-        let mut q = vc_simnet::EventQueue::<()>::new();
-        q.schedule(t(50.0), ());
-        q.pop();
         s.request_work(HostId(1), t(50.0)).unwrap();
         assert_eq!(s.next_deadline(), Some(t(300.0)));
     }
@@ -1459,9 +1456,6 @@ mod tests {
         s.add_workunit(1, 0, 1, t(0.0));
         let a = s.request_work(HostId(0), t(0.0)).unwrap();
         // Second replica starts later, so its deadline is later.
-        let mut q = vc_simnet::EventQueue::<()>::new();
-        q.schedule(t(100.0), ());
-        q.pop();
         let b = s.request_work(HostId(1), t(100.0)).unwrap();
         assert_eq!(a.wu.id, b.wu.id);
         // First replica expires at 300; second still lives.

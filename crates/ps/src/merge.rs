@@ -6,17 +6,19 @@
 //! transfer granularity*, never the math: merging shard by shard in order
 //! is bitwise-identical to merging the whole vector at once. With one
 //! shard this type performs exactly the same store operations on exactly
-//! the same key as the unsharded `vc_asgd::VcAsgdAssimilator`, which is
-//! what keeps single-shard runs byte-identical to the historical
-//! trajectories.
+//! the same key as the historical unsharded store layout, which is what
+//! keeps single-shard runs byte-identical to the pinned trajectories.
 
 use crate::wire::PushAck;
 use std::sync::Arc;
 use vc_asgd::alpha::{blend_eq1, AlphaSchedule};
-use vc_asgd::assimilator::PARAMS_KEY;
 use vc_kvstore::{Consistency, ShardLayout, VersionedStore};
 use vc_telemetry::{Histogram, Telemetry};
 use vc_tensor::codec::{decode_f32s, decode_f32s_into, encode_f32s};
+
+/// Key under which the unsharded server parameter blob lives in the store
+/// (and the prefix of every shard key).
+pub const PARAMS_KEY: &str = "model/params";
 
 /// Histogram: wall (or virtual) seconds per single-shard merge.
 pub const PS_MERGE_S: &str = "ps_merge_s";
@@ -283,7 +285,6 @@ impl ShardedAssimilator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vc_asgd::VcAsgdAssimilator;
 
     fn vec_of(n: usize, f: impl Fn(usize) -> f32) -> Vec<f32> {
         (0..n).map(f).collect()
@@ -327,15 +328,10 @@ mod tests {
         let clients: Vec<Vec<f32>> = (0..4)
             .map(|c| vec_of(n, |i| ((i + c * 31) as f32).cos()))
             .collect();
-        let reference = VcAsgdAssimilator::new(
-            Arc::new(VersionedStore::new()),
-            Consistency::Strong,
-            AlphaSchedule::Const(0.7),
-        );
-        reference.seed_params(&w0);
-        let mut want = Vec::new();
+        // Oracle: Eq. (1) applied to a plain vector, one client at a time.
+        let mut want = w0.clone();
         for c in &clients {
-            want = reference.assimilate_strong(c, 1);
+            blend_eq1(&mut want, c, 0.7);
         }
         for p in [1, 4, 16] {
             let a = sharded(n, p, Consistency::Strong);
@@ -356,30 +352,24 @@ mod tests {
         let w0 = vec_of(n, |i| i as f32 * 0.1);
         let c1 = vec_of(n, |i| -(i as f32));
         let c2 = vec_of(n, |i| (i as f32) * 2.0);
-        let reference = VcAsgdAssimilator::new(
-            Arc::new(VersionedStore::new()),
-            Consistency::Eventual,
-            AlphaSchedule::Const(0.7),
-        );
-        reference.seed_params(&w0);
-        // Two overlapping assimilations: both read the seed.
-        let (s1, v1) = reference.begin_eventual();
-        let (s2, v2) = reference.begin_eventual();
-        reference.commit_eventual(s1, v1, &c1, 1);
-        let (want, want_clobbered) = reference.commit_eventual(s2, v2, &c2, 1);
-        assert_eq!(want_clobbered, 1);
+        // Oracle: two overlapping assimilations both read the seed, so the
+        // later write-back (the seed blended with `c2`) clobbers the first.
+        let mut want = w0.clone();
+        blend_eq1(&mut want, &c2, 0.7);
 
-        let a = sharded(n, 4, Consistency::Eventual);
-        a.seed_params(&w0);
-        let s1 = a.begin_eventual();
-        let s2 = a.begin_eventual();
-        a.commit_eventual(s1, &c1, 1);
-        let (got, got_clobbered) = a.commit_eventual(s2, &c2, 1);
-        // Each of the 4 shards clobbers one concurrent update.
-        assert_eq!(got_clobbered, 4);
-        let want_bits: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
-        let got_bits: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(got_bits, want_bits);
+        for p in [1, 4] {
+            let a = sharded(n, p, Consistency::Eventual);
+            a.seed_params(&w0);
+            let s1 = a.begin_eventual();
+            let s2 = a.begin_eventual();
+            a.commit_eventual(s1, &c1, 1);
+            let (got, got_clobbered) = a.commit_eventual(s2, &c2, 1);
+            // Each shard clobbers one concurrent update.
+            assert_eq!(got_clobbered, p as u64);
+            let want_bits: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+            let got_bits: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got_bits, want_bits, "{p} shards must be bitwise identical");
+        }
     }
 
     #[test]

@@ -11,10 +11,11 @@ use vc_ps::Codec;
 /// The embedded [`JobConfig`] is interpreted as follows: `cn` is the number
 /// of worker OS threads, `pn` the number of parameter-server (assimilator)
 /// OS threads, `tn` the per-host slot cap the scheduler enforces, and
-/// `middleware.timeout_s` is a *wall-clock* deadline. The simulator-only
-/// fields (`compute`, `network`, `preemption`, `timing_only`,
-/// `pn_autoscale`) are ignored — compute time is real, transfers are
-/// channel sends, and preemption comes from [`FaultPlan`] instead.
+/// `middleware.timeout_s` is a *wall-clock* deadline. The fields only the
+/// simulation's Table I timing reads (`compute`, `network`, `preemption`,
+/// `replacement_delay_s`, `timing_only`; see [`crate::sim::Timing`]) are
+/// ignored on threads — compute time is real, transfers are channel sends,
+/// and preemption comes from [`FaultPlan`] instead.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct RuntimeConfig {
     /// The training job (model, data, shards, `PnCnTn`, α, consistency…).
@@ -118,11 +119,17 @@ impl RuntimeConfig {
     /// Validates cross-field invariants; the runtime constructor calls
     /// this.
     pub fn validate(&self) -> Result<(), String> {
-        self.job.validate()?;
-        self.faults.validate(self.job.cn)?;
         if self.job.timing_only {
             return Err("timing_only is simulator-only: the runtime always trains for real".into());
         }
+        self.validate_sim()
+    }
+
+    /// [`Self::validate`] minus the threaded-only rules: the simulation
+    /// may skip training (`timing_only`), the threads may not.
+    pub(crate) fn validate_sim(&self) -> Result<(), String> {
+        self.job.validate()?;
+        self.faults.validate(self.job.cn)?;
         if self.poll_interval_s <= 0.0 || !self.poll_interval_s.is_finite() {
             return Err(format!("invalid poll_interval_s {}", self.poll_interval_s));
         }

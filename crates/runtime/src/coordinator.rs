@@ -1,12 +1,10 @@
-//! The coordinator thread (BOINC server) and the assimilator pool.
+//! The coordinator thread (BOINC server).
 //!
 //! The coordinator owns the [`BoincServer`] state machine and drives it
 //! with wall-clock readings: scheduler RPCs and uploads arrive over one
 //! MPMC inbox, timeouts are scanned against real deadlines, and accepted
-//! results are handed to `Pn` assimilator threads that contend on the
-//! shared [`vc_kvstore::VersionedStore`] for real — in eventual mode,
-//! overlapping read-blend-write cycles genuinely lose updates, not by
-//! simulation but by racing.
+//! results are handed to the `Pn` assimilator pool
+//! ([`crate::assimilator`]).
 //!
 //! The coordinator is generic over its [`Clock`]: the threaded runtime
 //! instantiates it with [`WallClock`], the deterministic simulation
@@ -23,71 +21,11 @@ use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 use vc_asgd::result_is_valid;
-use vc_data::Dataset;
-use vc_kvstore::{Consistency, VersionedStore};
+use vc_kvstore::VersionedStore;
 use vc_middleware::{BoincServer, Clock, ReportStatus, ShardManifest};
-use vc_nn::metrics::evaluate;
 use vc_ops::{FleetStatus, OpsHub, PsStatus, StatusSnapshot};
 use vc_ps::{PsService, ShardedAssimilator};
 use vc_telemetry::{event, Histogram, Telemetry, TraceStage};
-
-/// Everything one assimilator (parameter-server) thread needs.
-pub struct AssimCtx {
-    /// Shared per-shard Eq. (1) applier over the shared store.
-    pub assim: Arc<ShardedAssimilator>,
-    /// Consistency mode (decides the store access pattern).
-    pub mode: Consistency,
-    /// Shared run configuration (model spec for the eval replica).
-    pub cfg: Arc<RuntimeConfig>,
-    /// The validation subset scored after every assimilation.
-    pub val_eval: Arc<Dataset>,
-    /// Task intake (MPMC: the pool shares one receiver).
-    pub task_rx: Receiver<AssimTask>,
-    /// Outcome uplink into the coordinator's inbox.
-    pub out: Sender<ToServer>,
-}
-
-/// The assimilator thread body: blend, score, report, until the task
-/// channel closes.
-pub fn assimilator_main(ctx: AssimCtx) {
-    let mut eval_model = ctx.cfg.job.model.build(ctx.cfg.job.seed);
-    while let Ok(t) = ctx.task_rx.recv() {
-        let updated = match ctx.mode {
-            Consistency::Eventual => {
-                // Read-blend-write with the read at cycle start: the window
-                // between begin and commit is a real race against the other
-                // assimilator threads. The yield widens it the same way a
-                // network hop to Redis would.
-                let snap = ctx.assim.begin_eventual();
-                std::thread::yield_now();
-                ctx.assim.commit_eventual(snap, &t.client, t.epoch).0
-            }
-            Consistency::Strong => ctx.assim.assimilate_strong(&t.client, t.epoch),
-        };
-        // Parameter-server validation scoring (§III-A).
-        eval_model.set_params_flat(&updated);
-        let (_, acc) = evaluate(
-            &mut eval_model,
-            &ctx.val_eval.images,
-            &ctx.val_eval.labels,
-            256,
-        );
-        if ctx
-            .out
-            .send(ToServer::Assimilated {
-                wu: t.wu,
-                host: t.host,
-                epoch: t.epoch,
-                shard_id: t.shard_id,
-                acc,
-                accepted_at: t.accepted_at,
-            })
-            .is_err()
-        {
-            return; // coordinator gone
-        }
-    }
-}
 
 /// The coordinator's mutable state, assembled by `Runtime::run` (with a
 /// [`vc_middleware::WallClock`]) or by the simulation (with a
@@ -250,7 +188,10 @@ impl<C: Clock> Coordinator<C> {
                 // wire counters ([`PsService::ops`]) record what actually
                 // travelled.
                 let reply = match self.server.request_work(host, now) {
-                    Some(asg) => ToWorker::Assign { wu: asg.wu },
+                    Some(asg) => ToWorker::Assign {
+                        wu: asg.wu,
+                        shard_cached: asg.shard_cached,
+                    },
                     None => ToWorker::NoWork,
                 };
                 // A dead worker's channel errors; its assignment (if any)

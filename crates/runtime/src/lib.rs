@@ -1,8 +1,10 @@
 //! # vc-runtime
 //!
-//! A real multi-threaded volunteer-fleet runtime for VC-ASGD: the same
-//! training job the `vc-asgd` discrete-event simulator models, executed on
-//! actual OS threads over actual wall-clock time.
+//! A real multi-threaded volunteer-fleet runtime for VC-ASGD, and the one
+//! discrete-event engine ([`sim`]) that runs the same coordinator, worker
+//! and parameter-service code under virtual time — for the chaos sweeps
+//! (flat test-scale timing) and for the paper's evaluation (Table I
+//! testbed timing, [`Scenario::table1`]).
 //!
 //! ## Architecture
 //!
@@ -13,8 +15,8 @@
 //! eventual consistency loses updates by racing, not by simulation; `Cn`
 //! **worker** threads each impersonate one volunteer host: poll for work,
 //! receive the epoch parameter snapshot, train their shard with real SGD
-//! (the exact [`vc_asgd::train_client_replica`] step the simulator uses),
-//! and upload the replica. All traffic flows over `crossbeam` channels.
+//! (the exact [`vc_asgd::train_client_replica_ws`] step the simulation
+//! uses), and upload the replica. All traffic flows over `crossbeam` channels.
 //!
 //! ## Faults and recovery
 //!
@@ -25,10 +27,12 @@
 //! Periodic [`Checkpoint`]s capture server parameters plus open-workunit
 //! state; [`Runtime::resume`] continues an interrupted job mid-epoch.
 
+pub mod assimilator;
 pub mod checkpoint;
 pub mod config;
 pub mod coordinator;
 pub mod fault;
+pub mod job;
 pub mod protocol;
 pub mod report;
 pub mod scheduler;
@@ -46,7 +50,8 @@ pub use report::{
 pub use scheduler::StepScheduler;
 pub use sim::{run_scenario, sweep, verify_seed, Scenario, SimOutcome};
 
-use coordinator::{assimilator_main, AssimCtx, Coordinator};
+use assimilator::{assimilator_main, AssimCtx};
+use coordinator::Coordinator;
 use crossbeam::channel::unbounded;
 use fault::FaultStats;
 use std::path::Path;

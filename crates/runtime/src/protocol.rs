@@ -61,6 +61,9 @@ pub enum ToWorker {
     Assign {
         /// The assigned workunit.
         wu: WorkUnit,
+        /// True when the host already holds the workunit's data shard
+        /// (the sticky-file cache hit): no training-data download.
+        shard_cached: bool,
     },
     /// Nothing schedulable right now; poll again after the configured
     /// interval.

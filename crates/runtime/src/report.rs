@@ -1,6 +1,6 @@
-//! Run reports, mirroring `vc-asgd`'s [`vc_asgd::EpochStats`] /
-//! [`vc_asgd::JobReport`] with wall-clock seconds in place of simulated
-//! hours, plus the fault-injection counters.
+//! Run reports: the per-epoch series the paper's figures plot, in runtime
+//! seconds (wall-clock on threads, virtual under the simulation), plus the
+//! fault-injection counters.
 
 use serde::{Deserialize, Serialize};
 use vc_kvstore::{
@@ -82,7 +82,8 @@ pub struct RuntimeReport {
     #[serde(default)]
     pub ps_ops: PsOps,
     /// Parameter payload bytes that crossed worker channels plus wire
-    /// bytes the parameter service moved.
+    /// bytes the parameter service moved (plus, under the simulation's
+    /// Table I timing, training-shard downloads).
     pub bytes_transferred: u64,
     /// Workers the fault injector preempted.
     pub kills: u64,
@@ -200,11 +201,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn accessors_walk_the_series() {
-        let r = RuntimeReport {
+    fn report(epochs: Vec<RuntimeEpoch>) -> RuntimeReport {
+        RuntimeReport {
             label: "P2C4T2".into(),
-            epochs: vec![epoch(1, 0.2, 1.0), epoch(2, 0.45, 2.5)],
+            epochs,
             final_val_acc: 0.45,
             final_test_acc: 0.44,
             wall_s: 2.6,
@@ -219,12 +219,36 @@ mod tests {
             respawns: 0,
             delayed_msgs: 0,
             halted_early: false,
-        };
+        }
+    }
+
+    #[test]
+    fn accessors_walk_the_series() {
+        let r = report(vec![epoch(1, 0.2, 1.0), epoch(2, 0.45, 2.5)]);
         assert_eq!(r.final_mean_acc(), 0.45);
         assert_eq!(r.time_to_accuracy(0.4), Some(2.5));
         assert_eq!(r.time_to_accuracy(0.9), None);
         let json = serde_json::to_string(&r).unwrap();
         assert_eq!(serde_json::from_str::<RuntimeReport>(&json).unwrap(), r);
+    }
+
+    #[test]
+    fn time_to_accuracy_finds_first_crossing() {
+        let r = report(vec![
+            epoch(1, 0.3, 1800.0),
+            epoch(2, 0.6, 3600.0),
+            epoch(3, 0.7, 5400.0),
+        ]);
+        assert_eq!(r.time_to_accuracy(0.5), Some(3600.0));
+        assert_eq!(r.time_to_accuracy(0.65), Some(5400.0));
+        assert_eq!(r.time_to_accuracy(0.9), None);
+    }
+
+    #[test]
+    fn final_mean_acc_is_last_epoch() {
+        let r = report(vec![epoch(1, 0.3, 1.0), epoch(2, 0.7, 2.0)]);
+        assert_eq!(r.final_mean_acc(), 0.7);
+        assert_eq!(report(Vec::new()).final_mean_acc(), 0.0);
     }
 
     #[test]

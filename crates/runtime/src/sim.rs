@@ -20,36 +20,82 @@
 //! The entry point is [`run_scenario`]; [`sweep`] runs a seed range and
 //! panics with the offending seed in the message, so any CI failure is a
 //! one-command local replay.
+//!
+//! The same engine runs the paper's evaluation: [`Scenario::table1`] swaps
+//! the flat test-scale costs for the Table I testbed timing
+//! ([`Timing::TableI`]) — per-host compute with `Tn` resident subtasks,
+//! network transfers, the two-phase assimilation whose store phase is the
+//! eventual-mode race window, and whole-instance preemptions.
 
+use crate::assimilator::{store_update_s, table1_cpu_s};
 use crate::config::RuntimeConfig;
 use crate::coordinator::{Coordinator, Stop};
 use crate::fault::{ByzantineMode, FaultPlan, FaultStats};
+use crate::job::{warm_start_s, SubtaskTiming};
 use crate::protocol::{AssimTask, ToServer, ToWorker};
 use crate::report::{RuntimeReport, DELAY_LINE_DELAY_S, WORKER_TRAIN_S};
 use crate::scheduler::StepScheduler;
 use crate::worker::WorkerCore;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use vc_asgd::{train_client_replica, warm_start_params};
+use vc_asgd::{train_client_replica_ws, warm_start_params};
 use vc_data::{Dataset, ShardSet};
 use vc_kvstore::{check_sequential, count_lost_updates, Consistency, HistoryEvent, VersionedStore};
 use vc_middleware::{BoincServer, Clock, HostId, ShardManifest, VirtualClock, WuId};
 use vc_nn::metrics::evaluate;
 use vc_nn::Sequential;
+use vc_optim::TrainWorkspace;
 use vc_ps::codec::apply_update_roundtrip;
 use vc_ps::{MemClient, PsService, ShardCache, ShardSnapshot, ShardedAssimilator};
 use vc_simnet::SimTime;
 use vc_telemetry::{event, Histogram, Telemetry, TraceStage};
 
-/// One deterministic chaos scenario: a runtime configuration plus the
-/// virtual-time costs of the things that take real time on threads.
+/// How a scenario charges virtual time for the things that take real time
+/// on threads.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Timing {
+    /// Flat test-scale costs. A host runs one subtask at a time.
+    Flat {
+        /// Base virtual seconds one subtask's training occupies a worker.
+        train_s: f64,
+        /// Straggler spread: per-subtask extra uniform in `[0, this]`,
+        /// drawn from the worker's private RNG stream.
+        train_jitter_s: f64,
+        /// Virtual seconds between an assimilation's begin (stale read)
+        /// and commit (write-back) — the race window eventual mode loses
+        /// updates in.
+        assim_s: f64,
+    },
+    /// The paper's testbed (Table I), read from the job configuration:
+    ///
+    /// - a host holds up to `tn` resident subtasks, each timed by
+    ///   `compute.subtask_s(spec, resident)`;
+    /// - downloads (the parameter shards the worker's cache actually
+    ///   fetched, plus the data shard on a sticky-cache miss) and uploads
+    ///   take `network.transfer_s`;
+    /// - an assimilation is a `compute.assim_s` CPU phase (±10 % jitter)
+    ///   followed by the store update `LatencyModel::update_s` — the
+    ///   eventual-mode race window;
+    /// - `preemption` kills the whole instance; its replacement comes up
+    ///   `replacement_delay_s` later;
+    /// - `warm_start_epochs` are charged at the serial rate before the
+    ///   first poll.
+    ///
+    /// Network and preemption draws come from each worker's private RNG
+    /// stream, the assimilation jitter from one server-side stream.
+    TableI,
+}
+
+/// One deterministic scenario: a runtime configuration plus the timing
+/// model that turns its work into virtual seconds.
 ///
 /// `seed` drives the [`StepScheduler`] (scheduling jitter + same-instant
-/// picks) and, via [`Scenario::new`], the job's data/model seed — so one
-/// number names the entire run.
+/// picks) and, via [`Scenario::new`] / [`Scenario::table1`], the job's
+/// data/model seed — so one number names the entire run.
 #[derive(Clone, Debug)]
 pub struct Scenario {
     /// The replay handle: scheduler seed (and default job seed).
@@ -58,15 +104,8 @@ pub struct Scenario {
     /// simulation honors the same fields the threaded runtime does;
     /// `max_wall_s` bounds *virtual* seconds here.
     pub cfg: RuntimeConfig,
-    /// Base virtual seconds one subtask's training occupies a worker.
-    pub train_s: f64,
-    /// Straggler spread: per-subtask extra uniform in `[0, this]`, drawn
-    /// from the worker's private RNG stream.
-    pub train_jitter_s: f64,
-    /// Virtual seconds between an assimilation's begin (stale read) and
-    /// commit (write-back) — the race window eventual mode loses updates
-    /// in.
-    pub assim_s: f64,
+    /// How work turns into virtual seconds.
+    pub timing: Timing,
     /// Cadence of the coordinator's housekeeping tick (timeout scans,
     /// checkpoint timer, `max_wall_s` safety net).
     pub tick_s: f64,
@@ -89,9 +128,11 @@ impl Scenario {
         Scenario {
             seed,
             cfg,
-            train_s: 0.8,
-            train_jitter_s: 0.4,
-            assim_s: 0.05,
+            timing: Timing::Flat {
+                train_s: 0.8,
+                train_jitter_s: 0.4,
+                assim_s: 0.05,
+            },
             tick_s: 0.25,
             sched_jitter_s: 0.002,
             ops: false,
@@ -232,20 +273,24 @@ impl Scenario {
 
     /// Cross-field validation (config plus the sim-only knobs).
     pub fn validate(&self) -> Result<(), String> {
-        self.cfg.validate()?;
-        for (name, v) in [
-            ("train_s", self.train_s),
-            ("assim_s", self.assim_s),
-            ("tick_s", self.tick_s),
-        ] {
+        self.cfg.validate_sim()?;
+        let mut positive = vec![("tick_s", self.tick_s)];
+        let mut non_negative = vec![("sched_jitter_s", self.sched_jitter_s)];
+        if let Timing::Flat {
+            train_s,
+            train_jitter_s,
+            assim_s,
+        } = self.timing
+        {
+            positive.extend([("train_s", train_s), ("assim_s", assim_s)]);
+            non_negative.push(("train_jitter_s", train_jitter_s));
+        }
+        for (name, v) in positive {
             if v <= 0.0 || !v.is_finite() {
                 return Err(format!("invalid {name} {v}"));
             }
         }
-        for (name, v) in [
-            ("train_jitter_s", self.train_jitter_s),
-            ("sched_jitter_s", self.sched_jitter_s),
-        ] {
+        for (name, v) in non_negative {
             if v < 0.0 || !v.is_finite() {
                 return Err(format!("invalid {name} {v}"));
             }
@@ -276,6 +321,10 @@ pub struct SimOutcome {
     /// deltas shipped). Kept out of [`RuntimeReport`] so `Raw` reports
     /// stay byte-identical to the pre-codec format.
     pub ps_codec_ops: vc_ps::CodecOps,
+    /// Test-split accuracy of the server parameters at each epoch end
+    /// (Fig. 6's right panel); empty unless `job.track_test_acc`. Kept out
+    /// of [`RuntimeReport`] for the same byte-identity reason.
+    pub test_acc: Vec<f32>,
 }
 
 impl SimOutcome {
@@ -323,6 +372,10 @@ impl SimOutcome {
 struct SimWorker {
     core: WorkerCore,
     state: WState,
+    /// Subtasks this instance is running. The worker keeps exactly one
+    /// poll chain alive while this is below its slot cap (1 under flat
+    /// timing, `tn` under Table I) and none while it is full.
+    resident: u32,
     ps: MemClient,
     cache: ShardCache,
     /// Error-feedback residual for the worker's upload stream under a
@@ -354,22 +407,31 @@ struct InFlight {
     begun: Option<ShardSnapshot>,
 }
 
-/// The simulation's event alphabet.
+/// The simulation's event alphabet. Worker events carry the worker life
+/// they were issued in, so a dead instance's late events are dropped.
 enum Ev {
     /// Worker `host` wakes and requests work.
-    Poll(u32),
+    Poll { host: u32, life: u32 },
     /// A worker→server message reaches the coordinator (possibly after a
     /// delay-line hold).
     Deliver(ToServer),
-    /// Worker `host` finishes training `wu` after its virtual compute
-    /// time.
+    /// Worker `host` finishes `wu` — training plus, under Table I timing,
+    /// the `upload_s` transfer that ends now.
     TrainDone {
         host: u32,
+        life: u32,
         wu: WuId,
         params: Vec<f32>,
+        upload_s: f64,
     },
+    /// The cloud provider reclaims host `host`'s instance (Table I
+    /// preemption).
+    Preempt { host: u32, life: u32 },
     /// Host `host`'s replacement instance comes up.
     Respawn(u32),
+    /// Parameter-server slot `slot` ends its CPU phase and begins the
+    /// store update (Table I timing only).
+    Begin(usize),
     /// Parameter-server slot `slot` commits its in-flight assimilation.
     Commit(usize),
     /// Coordinator housekeeping: timeout scan, checkpoint timer, safety
@@ -389,6 +451,14 @@ struct Sim {
     shards: Arc<ShardSet>,
     val_eval: Arc<Dataset>,
     fstats: Arc<FaultStats>,
+    /// One training workspace for every simulated subtask: the sim is
+    /// single-threaded, so the zero-allocation path needs only one.
+    tws: TrainWorkspace,
+    /// Server-side draws of Table I timing (assimilation jitter).
+    server_rng: StdRng,
+    /// The test split, scored at every epoch end when tracked.
+    test: Option<Dataset>,
+    test_acc: Vec<f32>,
     /// Keeps the coordinator's inbox formally connected (never read: the
     /// sim calls `Coordinator::handle` directly).
     _server_tx: Sender<ToServer>,
@@ -410,9 +480,9 @@ impl Sim {
 
     fn exec(&mut self, ev: Ev) -> Option<Stop> {
         match ev {
-            Ev::Poll(h) => {
-                if self.workers[h as usize].state == WState::Alive {
-                    self.send_to_server(h, ToServer::RequestWork { host: HostId(h) });
+            Ev::Poll { host, life } => {
+                if self.is_live(host, life) {
+                    self.send_to_server(host, ToServer::RequestWork { host: HostId(host) });
                 }
                 None
             }
@@ -429,13 +499,23 @@ impl Sim {
                     ToServer::RequestWork { host } => Some(host.0),
                     _ => None,
                 };
+                let epochs_done = self.coord.stats.len();
                 let stop = self.coord.handle(msg);
+                if self.coord.stats.len() > epochs_done {
+                    self.score_test_split();
+                }
                 self.pump(reply_to);
                 stop
             }
-            Ev::TrainDone { host, wu, params } => {
-                if self.workers[host as usize].state == WState::Alive {
-                    let delay = self.send_to_server(
+            Ev::TrainDone {
+                host,
+                life,
+                wu,
+                params,
+                upload_s,
+            } => {
+                if self.is_live(host, life) {
+                    let hold = self.send_to_server(
                         host,
                         ToServer::Result {
                             host: HostId(host),
@@ -444,27 +524,47 @@ impl Sim {
                         },
                     );
                     if self.coord.telemetry.tracing() {
-                        // The upload occupies the delay-line hold (zero
+                        // The upload occupies the Table I transfer (zero
+                        // under flat timing) plus the delay-line hold (zero
                         // without one) and ends when the message lands.
                         let now = self.sched.now().as_secs();
                         self.coord.telemetry.trace_span(
-                            now + delay,
+                            now + hold,
                             TraceStage::Upload,
                             wu.0,
                             u64::from(host),
-                            delay,
+                            upload_s + hold,
                             Vec::new(),
                         );
                     }
-                    // The threaded worker loops straight back into a poll
-                    // after uploading.
-                    self.sched.schedule_in(0.0, Ev::Poll(host));
+                    // The freed slot restarts the poll chain if it was the
+                    // one holding the host at its cap (always, under flat
+                    // timing: the threaded worker loops straight back into
+                    // a poll after uploading).
+                    let cap = self.slot_cap();
+                    let w = &mut self.workers[host as usize];
+                    let was_full = w.resident == cap;
+                    w.resident -= 1;
+                    if was_full {
+                        self.sched.schedule_in(0.0, Ev::Poll { host, life });
+                    }
+                }
+                None
+            }
+            Ev::Preempt { host, life } => {
+                if self.is_live(host, life) {
+                    self.coord.server.preempt_host(HostId(host));
+                    self.kill(host, Some(self.coord.cfg.job.replacement_delay_s));
                 }
                 None
             }
             Ev::Respawn(h) => {
                 let w = &mut self.workers[h as usize];
                 if w.state == WState::AwaitingRespawn {
+                    // After a Table I preemption the server wrote the
+                    // instance off; its record restarts with the fresh one
+                    // (a no-op for fault-plan kills the server never saw).
+                    self.coord.server.revive_host(HostId(h), self.sched.now());
                     w.core.respawn();
                     w.state = WState::Alive;
                     self.fstats.respawns.fetch_add(1, Ordering::Relaxed);
@@ -475,8 +575,13 @@ impl Sim {
                         host = h,
                         life = w.core.life
                     );
-                    self.sched.schedule_in(0.0, Ev::Poll(h));
+                    let life = w.core.life;
+                    self.sched.schedule_in(0.0, Ev::Poll { host: h, life });
                 }
+                None
+            }
+            Ev::Begin(slot) => {
+                self.begin(slot);
                 None
             }
             Ev::Commit(slot) => {
@@ -546,57 +651,50 @@ impl Sim {
     fn worker_recv(&mut self, h: u32, msg: ToWorker) {
         let w = &mut self.workers[h as usize];
         match msg {
-            ToWorker::Assign { wu } => {
+            ToWorker::Assign { wu, shard_cached } => {
                 if w.state != WState::Alive {
                     // Reply addressed to a dead instance: dropped, and the
                     // server recovers the slot through the timeout path.
                     return;
                 }
                 if w.core.on_assign(&self.coord.cfg.faults) {
-                    self.fstats.kills.fetch_add(1, Ordering::Relaxed);
-                    event!(
-                        self.coord.telemetry,
-                        Info,
-                        "worker_kill",
-                        host = h,
-                        life = w.core.life
-                    );
-                    match self.coord.cfg.faults.respawn_after_s {
-                        Some(d) => {
-                            w.state = WState::AwaitingRespawn;
-                            self.sched.schedule_in(d, Ev::Respawn(h));
-                        }
-                        None => w.state = WState::Gone,
-                    }
+                    let respawn = self.coord.cfg.faults.respawn_after_s;
+                    self.kill(h, respawn);
                     return;
                 }
+                w.resident += 1;
+                let (resident, life) = (w.resident, w.core.life);
+                // Table I: a host with a free slot keeps polling for more.
+                if resident < self.slot_cap() {
+                    self.sched.schedule_in(0.0, Ev::Poll { host: h, life });
+                }
+                let w = &mut self.workers[h as usize];
                 // Fetch exactly the shards the manifest says moved — the
                 // same `ShardCache::sync` the threaded worker runs, here
                 // as a synchronous call against the in-process service.
+                let sent_before = self.coord.service.ops().bytes_tx;
                 let snapshot = w
                     .cache
                     .sync(wu.epoch as u64, &wu.param_versions.0, &mut w.ps)
                     .expect("sim fetch: a snapshot is published for every generated epoch");
-                if self.coord.telemetry.tracing() {
-                    // The in-memory fetch is synchronous under virtual
-                    // time: an instantaneous span marks the causal step.
-                    self.coord.telemetry.trace_span(
-                        self.sched.now().as_secs(),
-                        TraceStage::Fetch,
-                        wu.id.0,
-                        u64::from(h),
-                        0.0,
-                        vec![("epoch", (wu.epoch as u64).into())],
-                    );
-                }
-                let data = &self.shards.shard(wu.shard_id).data;
-                let mut params = train_client_replica(
-                    &self.coord.cfg.job,
-                    snapshot,
-                    data,
-                    wu.epoch,
-                    wu.shard_id,
-                );
+                let fetched = self.coord.service.ops().bytes_tx - sent_before;
+                let job = &self.coord.cfg.job;
+                let mut params = if job.timing_only {
+                    // Time-shape mode: the result is the unchanged
+                    // snapshot; every draw and event is as in a real run.
+                    snapshot.to_vec()
+                } else {
+                    let data = &self.shards.shard(wu.shard_id).data;
+                    train_client_replica_ws(
+                        job,
+                        snapshot,
+                        data,
+                        wu.epoch,
+                        wu.shard_id,
+                        &mut self.tws,
+                        None,
+                    )
+                };
                 // Under a lossy codec the upload is what survives the
                 // wire: quantize the trained delta against the fetched
                 // snapshot (error feedback carries the dropped mass to
@@ -619,9 +717,19 @@ impl Sim {
                 if let Some(mode) = self.coord.cfg.faults.byzantine(h) {
                     mode.corrupt(h, &mut params);
                 }
-                let mut dur = self.sc.train_s;
-                if self.sc.train_jitter_s > 0.0 {
-                    dur += w.core.rng.gen_range(0.0..=self.sc.train_jitter_s);
+                let t = self.subtask_timing(h, wu.shard_id, shard_cached, resident, fetched);
+                if self.coord.telemetry.tracing() {
+                    // The in-memory fetch is synchronous; the span covers
+                    // the Table I download (instantaneous under flat
+                    // timing) to mark the causal step.
+                    self.coord.telemetry.trace_span(
+                        self.sched.now().as_secs() + t.download_s,
+                        TraceStage::Fetch,
+                        wu.id.0,
+                        u64::from(h),
+                        t.download_s,
+                        vec![("epoch", (wu.epoch as u64).into())],
+                    );
                 }
                 // The virtual analogue of the threaded worker's measured
                 // training time.
@@ -629,37 +737,143 @@ impl Sim {
                     .telemetry
                     .registry()
                     .histogram_with(WORKER_TRAIN_S, Histogram::latency_bounds)
-                    .observe(dur);
+                    .observe(t.train_s);
+                let trained_at = t.download_s + t.train_s;
                 if self.coord.telemetry.tracing() {
                     // Emitted at schedule time, stamped with the span's
                     // end: the drawn virtual compute time is known now.
                     self.coord.telemetry.trace_span(
-                        self.sched.now().as_secs() + dur,
+                        self.sched.now().as_secs() + trained_at,
                         TraceStage::Train,
                         wu.id.0,
                         u64::from(h),
-                        dur,
+                        t.train_s,
                         vec![
                             ("epoch", (wu.epoch as u64).into()),
                             ("shard", (wu.shard_id as u64).into()),
                         ],
                     );
                 }
+                if let Some(kill_after) = t.preempt_after_s {
+                    self.sched
+                        .schedule_in(t.download_s + kill_after, Ev::Preempt { host: h, life });
+                }
                 self.sched.schedule_in(
-                    dur,
+                    trained_at + t.upload_s,
                     Ev::TrainDone {
                         host: h,
+                        life,
                         wu: wu.id,
                         params,
+                        upload_s: t.upload_s,
                     },
                 );
             }
             ToWorker::NoWork => {
                 let poll = self.coord.cfg.poll_interval_s;
-                self.sched.schedule_in(poll, Ev::Poll(h));
+                let life = w.core.life;
+                self.sched.schedule_in(poll, Ev::Poll { host: h, life });
             }
             ToWorker::Shutdown => w.state = WState::Gone,
         }
+    }
+
+    /// Whether worker `host` is alive and still in life `life`.
+    fn is_live(&self, host: u32, life: u32) -> bool {
+        let w = &self.workers[host as usize];
+        w.state == WState::Alive && w.core.life == life
+    }
+
+    /// Subtasks one simulated instance runs at once.
+    fn slot_cap(&self) -> u32 {
+        match self.sc.timing {
+            Timing::Flat { .. } => 1,
+            Timing::TableI => self.coord.cfg.job.tn as u32,
+        }
+    }
+
+    /// Draws the virtual durations of one subtask on host `h`, now running
+    /// `resident` subtasks, whose parameter fetch moved `fetched` bytes.
+    /// Flat timing draws only the straggler jitter; Table I draws download,
+    /// preemption and upload, in that order, from the worker's RNG stream.
+    fn subtask_timing(
+        &mut self,
+        h: u32,
+        shard_id: usize,
+        shard_cached: bool,
+        resident: u32,
+        fetched: u64,
+    ) -> SubtaskTiming {
+        let rng = &mut self.workers[h as usize].core.rng;
+        match self.sc.timing {
+            Timing::Flat {
+                train_s,
+                train_jitter_s,
+                ..
+            } => {
+                let mut train = train_s;
+                if train_jitter_s > 0.0 {
+                    train += rng.gen_range(0.0..=train_jitter_s);
+                }
+                SubtaskTiming {
+                    download_s: 0.0,
+                    train_s: train,
+                    upload_s: 0.0,
+                    preempt_after_s: None,
+                }
+            }
+            Timing::TableI => {
+                // Training data crosses the network only on a sticky cache
+                // miss, and counts toward the run's bytes.
+                let shard_bytes = (!shard_cached).then(|| self.shards.shard(shard_id).byte_size());
+                self.coord.bytes += shard_bytes.unwrap_or(0) as u64;
+                SubtaskTiming::table1(
+                    &self.coord.cfg.job,
+                    self.coord.server.spec(HostId(h)),
+                    resident,
+                    fetched,
+                    shard_bytes,
+                    self.coord.cfg.codec.blob_len(self.coord.param_count),
+                    rng,
+                )
+            }
+        }
+    }
+
+    /// Takes worker `h`'s instance down: every subtask it runs dies with
+    /// it, and the replacement (if any) comes up `respawn_after` seconds
+    /// later.
+    fn kill(&mut self, h: u32, respawn_after: Option<f64>) {
+        let w = &mut self.workers[h as usize];
+        w.resident = 0;
+        self.fstats.kills.fetch_add(1, Ordering::Relaxed);
+        event!(
+            self.coord.telemetry,
+            Info,
+            "worker_kill",
+            host = h,
+            life = w.core.life
+        );
+        match respawn_after {
+            Some(d) => {
+                w.state = WState::AwaitingRespawn;
+                self.sched.schedule_in(d, Ev::Respawn(h));
+            }
+            None => w.state = WState::Gone,
+        }
+    }
+
+    /// Scores the test split on the current server parameters (Fig. 6),
+    /// when the job tracks it.
+    fn score_test_split(&mut self) {
+        let Some(test) = &self.test else {
+            return;
+        };
+        let (params, _) = self.coord.assim.read_params();
+        let eval = &mut self.slots[0].eval;
+        eval.set_params_flat(&params);
+        let (_, acc) = evaluate(eval, &test.images, &test.labels, 256);
+        self.test_acc.push(acc);
     }
 
     /// Routes one accepted result to a free parameter-server slot, or
@@ -672,16 +886,37 @@ impl Sim {
     }
 
     fn start(&mut self, slot: usize, task: AssimTask) {
-        // Eventual mode reads its (possibly stale) snapshot when the
-        // assimilation *starts*; the commit lands `assim_s` later, and
-        // anything that commits in between is clobbered — the same race
-        // the threaded pool runs, under scheduler control.
+        self.slots[slot].busy = Some(InFlight { task, begun: None });
+        match self.sc.timing {
+            Timing::Flat { .. } => self.begin(slot),
+            Timing::TableI => {
+                let busy = self.slots.iter().filter(|s| s.busy.is_some()).count();
+                let inflight = busy + self.assim_queue.len();
+                let cpu = table1_cpu_s(&self.coord.cfg.job, inflight, &mut self.server_rng);
+                self.sched.schedule_in(cpu, Ev::Begin(slot));
+            }
+        }
+    }
+
+    /// Starts slot `slot`'s store update. Eventual mode reads its
+    /// (possibly stale) snapshot here; the commit lands one store-phase
+    /// later, and anything that commits in between is clobbered — the same
+    /// race the threaded pool runs, under scheduler control.
+    fn begin(&mut self, slot: usize) {
         let begun = match self.coord.assim.mode() {
             Consistency::Eventual => Some(self.coord.assim.begin_eventual()),
             Consistency::Strong => None,
         };
-        self.slots[slot].busy = Some(InFlight { task, begun });
-        self.sched.schedule_in(self.sc.assim_s, Ev::Commit(slot));
+        let store_s = match self.sc.timing {
+            Timing::Flat { assim_s, .. } => assim_s,
+            Timing::TableI => store_update_s(self.coord.assim.mode(), self.coord.param_count),
+        };
+        self.slots[slot]
+            .busy
+            .as_mut()
+            .expect("begin event for an idle slot")
+            .begun = begun;
+        self.sched.schedule_in(store_s, Ev::Commit(slot));
     }
 
     fn commit(&mut self, slot: usize) {
@@ -698,14 +933,19 @@ impl Sim {
             }
             None => self.coord.assim.assimilate_strong(&task.client, task.epoch),
         };
-        let s = &mut self.slots[slot];
-        s.eval.set_params_flat(&updated);
-        let (_, acc) = evaluate(
-            &mut s.eval,
-            &self.val_eval.images,
-            &self.val_eval.labels,
-            256,
-        );
+        let acc = if self.coord.cfg.job.timing_only {
+            0.0
+        } else {
+            let s = &mut self.slots[slot];
+            s.eval.set_params_flat(&updated);
+            evaluate(
+                &mut s.eval,
+                &self.val_eval.images,
+                &self.val_eval.labels,
+                256,
+            )
+            .1
+        };
         if let Some(next) = self.assim_queue.pop_front() {
             self.start(slot, next);
         }
@@ -752,8 +992,10 @@ pub fn run_scenario(sc: &Scenario) -> Result<SimOutcome, String> {
     // --- recording parameter store + sharded service --------------------
     let store = Arc::new(VersionedStore::recording().with_telemetry(&tel));
     let mut init = job.model.build(job.seed).params_flat();
-    if let Some(warmed) = warm_start_params(job, &shards, &init) {
-        init = warmed;
+    if !job.timing_only {
+        if let Some(warmed) = warm_start_params(job, &shards, &init) {
+            init = warmed;
+        }
     }
     let param_count = init.len();
     let assim = Arc::new(
@@ -810,6 +1052,7 @@ pub fn run_scenario(sc: &Scenario) -> Result<SimOutcome, String> {
         .map(|h| SimWorker {
             core: WorkerCore::new(HostId(h as u32), cfg.faults.seed),
             state: WState::Alive,
+            resident: 0,
             ps: MemClient::new(service.clone()),
             cache: ShardCache::new(*assim.layout()).with_codec(cfg.codec),
             upload_residual: Vec::new(),
@@ -861,24 +1104,37 @@ pub fn run_scenario(sc: &Scenario) -> Result<SimOutcome, String> {
         shards,
         val_eval,
         fstats,
+        tws: TrainWorkspace::new(),
+        server_rng: StdRng::seed_from_u64(sc.seed.wrapping_mul(0x2545_F491).wrapping_add(11)),
+        test: (job.track_test_acc && !job.timing_only).then(|| test.clone()),
+        test_acc: Vec::new(),
         _server_tx: server_tx,
     };
+    // Table I charges the warm-start epochs before the first poll.
+    let start_s = match sc.timing {
+        Timing::Flat { .. } => 0.0,
+        Timing::TableI => warm_start_s(job),
+    };
     for h in 0..job.cn as u32 {
-        sim.sched.schedule_in(0.0, Ev::Poll(h));
+        sim.sched
+            .schedule_in(start_s, Ev::Poll { host: h, life: 0 });
     }
     sim.sched.schedule_in(sc.tick_s, Ev::Tick);
 
     let stop = sim.run_loop();
+    let test_acc = std::mem::take(&mut sim.test_acc);
     let (mut report, assim) = sim.coord.finalize(stop);
 
     // Final full-split evaluation, as in Runtime::run.
-    let (params, _) = assim.read_params();
-    let mut model = cfg.job.model.build(cfg.job.seed);
-    model.set_params_flat(&params);
-    let (_, v) = evaluate(&mut model, &val.images, &val.labels, 256);
-    let (_, t) = evaluate(&mut model, &test.images, &test.labels, 256);
-    report.final_val_acc = v;
-    report.final_test_acc = t;
+    if !job.timing_only {
+        let (params, _) = assim.read_params();
+        let mut model = cfg.job.model.build(cfg.job.seed);
+        model.set_params_flat(&params);
+        let (_, v) = evaluate(&mut model, &val.images, &val.labels, 256);
+        let (_, t) = evaluate(&mut model, &test.images, &test.labels, 256);
+        report.final_val_acc = v;
+        report.final_test_acc = t;
+    }
 
     Ok(SimOutcome {
         consistency: job.consistency,
@@ -887,6 +1143,7 @@ pub fn run_scenario(sc: &Scenario) -> Result<SimOutcome, String> {
         telemetry: tel,
         ops: ops_hub,
         ps_codec_ops: service.codec_ops(),
+        test_acc,
     })
 }
 
@@ -946,7 +1203,9 @@ mod tests {
 
     #[test]
     fn fault_free_scenario_finishes_and_learns() {
-        let out = run_scenario(&tiny(1)).unwrap();
+        let mut sc = tiny(1);
+        sc.cfg.job.track_test_acc = true;
+        let out = run_scenario(&sc).unwrap();
         assert!(!out.report.halted_early);
         assert_eq!(out.report.epochs.len(), 2);
         for (i, e) in out.report.epochs.iter().enumerate() {
@@ -955,21 +1214,40 @@ mod tests {
         }
         assert!(out.report.wall_s > 0.0, "virtual time must pass");
         assert!(out.report.final_mean_acc() > 0.15);
+        // Fig. 6's per-epoch test accuracy rides next to the report.
+        assert_eq!(out.test_acc.len(), 2);
+        assert!(out.test_acc.iter().all(|a| (0.0..=1.0).contains(a)));
         out.verify_consistency().unwrap();
+    }
+
+    /// The paper's timing at test scale, with instances reclaimed
+    /// mid-subtask.
+    fn table1_storm(seed: u64) -> Scenario {
+        let mut job = vc_asgd::JobConfig::test_small(seed);
+        job.epochs = 2;
+        job.val_eval_n = 60;
+        job.preemption = vc_simnet::PreemptionModel::BernoulliPerSubtask { p: 0.3 };
+        Scenario::table1(job)
     }
 
     #[test]
     fn same_seed_is_byte_identical_different_seed_is_not() {
-        let a = run_scenario(&tiny(5)).unwrap();
-        let b = run_scenario(&tiny(5)).unwrap();
-        assert_eq!(
-            a.report_json(),
-            b.report_json(),
-            "replay must be bit-for-bit"
-        );
-        assert_eq!(a.history, b.history, "down to the store's op history");
-        let c = run_scenario(&tiny(6)).unwrap();
-        assert_ne!(a.report_json(), c.report_json());
+        for make in [tiny, table1_storm] {
+            let a = run_scenario(&make(5)).unwrap();
+            let b = run_scenario(&make(5)).unwrap();
+            assert_eq!(
+                a.report_json(),
+                b.report_json(),
+                "replay must be bit-for-bit"
+            );
+            assert_eq!(a.history, b.history, "down to the store's op history");
+            a.verify_consistency().unwrap();
+            let c = run_scenario(&make(6)).unwrap();
+            assert_ne!(a.report_json(), c.report_json());
+        }
+        let storm = run_scenario(&table1_storm(5)).unwrap();
+        assert_eq!(storm.report.epochs.len(), 2);
+        assert!(storm.report.kills > 0, "the storm must reclaim instances");
     }
 
     #[test]
@@ -999,7 +1277,11 @@ mod tests {
     #[test]
     fn rejects_invalid_scenarios() {
         let mut sc = tiny(1);
-        sc.train_s = 0.0;
+        sc.timing = Timing::Flat {
+            train_s: 0.0,
+            train_jitter_s: 0.4,
+            assim_s: 0.05,
+        };
         assert!(run_scenario(&sc).is_err());
         let sc = tiny(1).cn(2).kill_fraction(1.0, 1);
         assert!(

@@ -2,7 +2,7 @@
 //!
 //! Each worker owns one host identity and runs the BOINC client loop for
 //! real: poll the scheduler, train the assigned shard with actual SGD
-//! (through the same [`vc_asgd::train_client_replica`] the simulator
+//! (through the same [`vc_asgd::train_client_replica_ws`] the simulation
 //! uses), upload the replica parameters, repeat. A worker executes one
 //! subtask at a time; the server-side slot cap (`Tn`) still bounds how much
 //! work can be assigned to its host record.
@@ -47,7 +47,8 @@ pub struct WorkerCore {
     pub life: u32,
     /// 1-based count of assignments received in the current life.
     pub assignments_this_life: u64,
-    /// Per-worker RNG (message-delay draws, sim jitter). Seeded from the
+    /// Per-worker RNG (message-delay draws; in the simulation, straggler
+    /// jitter or the Table I transfer and preemption draws). Seeded from the
     /// fault-plan seed and the host id, so streams are independent across
     /// workers but identical across substrates.
     pub rng: StdRng,
@@ -163,7 +164,7 @@ pub fn worker_main(ctx: WorkerCtx) {
             Err(RecvTimeoutError::Disconnected) | Ok(ToWorker::Shutdown) => return,
             Err(RecvTimeoutError::Timeout) => continue, // reply lost somewhere: re-poll
             Ok(ToWorker::NoWork) => std::thread::sleep(poll),
-            Ok(ToWorker::Assign { wu }) => {
+            Ok(ToWorker::Assign { wu, .. }) => {
                 if core.on_assign(&cfg.faults) {
                     if !die(&cfg, &cmd_rx, &stats, &telemetry, id, core.life) {
                         return;

@@ -8,7 +8,8 @@
 //! and preemptible-instance terminations. Reproducing those axes without
 //! the testbed requires simulating time while computing accuracy for real:
 //!
-//! * [`SimTime`]/[`EventQueue`] — a deterministic discrete-event core.
+//! * [`SimTime`] — the simulated-time type every event is stamped with
+//!   (the one event queue is `vc_runtime::StepScheduler`).
 //! * [`InstanceSpec`]/[`table1`] — the paper's instance catalog with vCPU,
 //!   clock, RAM, bandwidth and AWS-calibrated prices.
 //! * [`ComputeModel`] — client subtask service times under concurrency
@@ -21,19 +22,18 @@
 //! * [`PreemptionModel`] — Bernoulli-per-subtask and exponential-lifetime
 //!   instance terminations (§IV-E).
 //!
-//! The middleware and the VC-ASGD driver schedule *real* training
-//! computations at simulated completion times, so asynchrony, staleness and
-//! assimilation order are faithful to the modelled fleet.
+//! The middleware and the deterministic simulator (`vc_runtime::sim`, with
+//! its Table I timing) schedule *real* training computations at simulated
+//! completion times, so asynchrony, staleness and assimilation order are
+//! faithful to the modelled fleet.
 
 pub mod compute;
-pub mod event;
 pub mod network;
 pub mod preempt;
 pub mod specs;
 pub mod time;
 
 pub use compute::ComputeModel;
-pub use event::EventQueue;
 pub use network::NetworkModel;
 pub use preempt::PreemptionModel;
 pub use specs::{generated_fleet, table1, InstanceSpec};

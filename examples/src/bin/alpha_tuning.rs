@@ -4,8 +4,8 @@
 //!
 //! Run: `cargo run -p vc-examples --bin alpha_tuning --release`
 
-use vc_asgd::job::run_job;
 use vc_asgd::{AlphaSchedule, JobConfig};
+use vc_runtime::{run_scenario, Scenario};
 
 fn main() {
     // A scaled-down but learnable job so the sweep finishes quickly.
@@ -43,17 +43,21 @@ fn main() {
     for sched in schedules {
         let mut cfg = base();
         cfg.alpha = sched;
-        let report = run_job(cfg).expect("valid config");
+        let report = run_scenario(&Scenario::table1(cfg))
+            .expect("valid config")
+            .report;
         let tta = report
-            .time_to_accuracy(target)
-            .map(|(e, h)| format!("{h:.2}h (ep {e})"))
+            .epochs
+            .iter()
+            .find(|e| e.mean_val_acc >= target)
+            .map(|e| format!("{:.2}h (ep {})", e.end_wall_s / 3600.0, e.epoch))
             .unwrap_or_else(|| "not reached".into());
         println!(
             "{:<18} {:>10.3} {:>14} {:>12.2}",
             sched.label(),
             report.final_mean_acc(),
             tta,
-            report.total_time_h
+            report.wall_s / 3600.0
         );
     }
     println!("\nthe paper's Var schedule trades early aggressiveness (low alpha)");

@@ -5,8 +5,8 @@
 //!
 //! Run: `cargo run -p vc-examples --bin heterogeneous_fleet --release`
 
-use vc_asgd::job::run_job;
 use vc_asgd::{FleetKind, JobConfig};
+use vc_runtime::{run_scenario, Scenario};
 use vc_simnet::{table1, PreemptionModel};
 
 fn main() {
@@ -36,12 +36,17 @@ fn main() {
         cfg.middleware.timeout_s
     );
 
-    let report = run_job(cfg).expect("config is valid");
+    let report = run_scenario(&Scenario::table1(cfg))
+        .expect("config is valid")
+        .report;
 
     for e in &report.epochs {
         println!(
             "epoch {:>2}: {:>6.2}h  acc {:.3}  (cumulative timeouts {})",
-            e.epoch, e.end_time_h, e.mean_val_acc, e.timeouts
+            e.epoch,
+            e.end_wall_s / 3600.0,
+            e.mean_val_acc,
+            e.timeouts
         );
     }
     let m = report.server_metrics;
@@ -59,7 +64,7 @@ fn main() {
         "  stale    {:>5}   cache hits {:>4}",
         m.stale_results, m.cache_hits
     );
-    println!("  preemptions survived: {}", report.preemptions);
+    println!("  preemptions survived: {}", report.kills);
     assert_eq!(
         report.epochs.len(),
         5,

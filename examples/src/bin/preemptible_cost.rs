@@ -4,9 +4,9 @@
 //!
 //! Run: `cargo run -p vc-examples --bin preemptible_cost --release`
 
-use vc_asgd::job::run_job;
 use vc_asgd::JobConfig;
 use vc_cost::{FleetCost, TimeoutAnalysis};
+use vc_runtime::{run_scenario, Scenario};
 use vc_simnet::{table1, PreemptionModel};
 
 fn main() {
@@ -47,5 +47,8 @@ fn job_hours(preemption: PreemptionModel) -> f64 {
     cfg.epochs = 40;
     cfg.timing_only = true;
     cfg.preemption = preemption;
-    run_job(cfg).expect("valid config").total_time_h
+    let report = run_scenario(&Scenario::table1(cfg))
+        .expect("valid config")
+        .report;
+    report.wall_s / 3600.0
 }

@@ -8,8 +8,8 @@
 //!
 //! Run: `cargo run -p vc-examples --bin quickstart --release`
 
-use vc_asgd::job::run_job;
 use vc_asgd::{AlphaSchedule, JobConfig};
+use vc_runtime::{run_scenario, Scenario};
 
 fn main() {
     // Start from the paper's defaults and shrink the workload so the whole
@@ -39,7 +39,10 @@ fn main() {
     );
     println!();
 
-    let report = run_job(cfg).expect("config is valid");
+    // The deterministic simulator on the paper's Table I testbed timing.
+    let report = run_scenario(&Scenario::table1(cfg))
+        .expect("config is valid")
+        .report;
 
     println!(
         "{:>5} {:>7} {:>9} {:>9} {:>17}",
@@ -48,13 +51,20 @@ fn main() {
     for e in &report.epochs {
         println!(
             "{:>5} {:>7.3} {:>8.2}h {:>9.3} {:>8.3}..{:.3}",
-            e.epoch, e.alpha, e.end_time_h, e.mean_val_acc, e.min_val_acc, e.max_val_acc
+            e.epoch,
+            e.alpha,
+            e.end_wall_s / 3600.0,
+            e.mean_val_acc,
+            e.min_val_acc,
+            e.max_val_acc
         );
     }
     println!();
     println!(
         "final: val {:.3}, test {:.3} after {:.2} simulated hours",
-        report.final_val_acc, report.final_test_acc, report.total_time_h
+        report.final_val_acc,
+        report.final_test_acc,
+        report.wall_s / 3600.0
     );
     println!(
         "fleet: {} subtask assignments, {} completions, {} timeouts, {:.1} MB moved",

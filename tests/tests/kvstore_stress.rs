@@ -1,5 +1,6 @@
 //! Stress tests of the versioned parameter store through the VC-ASGD
-//! assimilation paths — deterministic and threaded.
+//! assimilation paths (the parameter service's merge at one shard) —
+//! deterministic and threaded.
 //!
 //! Under eventual consistency the read-blend-write cycle is unguarded, so
 //! overlapping writers clobber each other (`lost_updates > 0`) — the effect
@@ -11,8 +12,9 @@
 //! history's independent recount must match the store's counter exactly.
 
 use std::sync::Arc;
-use vc_asgd::{AlphaSchedule, VcAsgdAssimilator};
+use vc_asgd::AlphaSchedule;
 use vc_kvstore::{check_sequential, count_lost_updates, Consistency, HistoryEvent, VersionedStore};
+use vc_ps::{ShardSnapshot, ShardedAssimilator};
 use vc_runtime::StepScheduler;
 
 const WRITERS: usize = 8;
@@ -21,8 +23,10 @@ const PARAMS: usize = 64;
 
 fn hammer(mode: Consistency) -> (u64, Vec<f32>, Vec<HistoryEvent>) {
     let store = VersionedStore::shared_recording();
-    let assim = Arc::new(VcAsgdAssimilator::new(
+    let assim = Arc::new(ShardedAssimilator::new(
         store.clone(),
+        PARAMS,
+        1,
         mode,
         AlphaSchedule::Const(0.5),
     ));
@@ -36,11 +40,11 @@ fn hammer(mode: Consistency) -> (u64, Vec<f32>, Vec<HistoryEvent>) {
                 for _ in 0..UPDATES {
                     match mode {
                         Consistency::Eventual => {
-                            let (snap, version) = assim.begin_eventual();
+                            let snap = assim.begin_eventual();
                             // Widen the read-modify-write window the way a
                             // network hop to the store would.
                             std::thread::yield_now();
-                            assim.commit_eventual(snap, version, &client, 1);
+                            assim.commit_eventual(snap, &client, 1);
                         }
                         Consistency::Strong => {
                             assim.assimilate_strong(&client, 1);
@@ -67,14 +71,16 @@ fn hammer(mode: Consistency) -> (u64, Vec<f32>, Vec<HistoryEvent>) {
 fn deterministic_interleaving_loses_updates_reproducibly() {
     enum Ev {
         Begin(usize),
-        Commit(Vec<f32>, u64, usize),
+        Commit(ShardSnapshot, usize),
     }
     const SEED: u64 = 42;
 
     let run = || {
         let store = VersionedStore::shared_recording();
-        let assim = VcAsgdAssimilator::new(
+        let assim = ShardedAssimilator::new(
             store.clone(),
+            8,
+            1,
             Consistency::Eventual,
             AlphaSchedule::Const(0.5),
         );
@@ -88,12 +94,12 @@ fn deterministic_interleaving_loses_updates_reproducibly() {
         while let Some((_, ev)) = sched.next() {
             match ev {
                 Ev::Begin(w) => {
-                    let (snap, version) = assim.begin_eventual();
-                    sched.schedule_in(0.02, Ev::Commit(snap, version, w));
+                    let snap = assim.begin_eventual();
+                    sched.schedule_in(0.02, Ev::Commit(snap, w));
                 }
-                Ev::Commit(snap, version, w) => {
+                Ev::Commit(snap, w) => {
                     let client = vec![(w + 1) as f32; 8];
-                    assim.commit_eventual(snap, version, &client, 1);
+                    assim.commit_eventual(snap, &client, 1);
                 }
             }
         }
@@ -161,8 +167,10 @@ fn strong_consistency_loses_nothing_under_contention() {
 #[test]
 fn store_write_counts_match_the_workload() {
     let store = VersionedStore::shared();
-    let assim = VcAsgdAssimilator::new(
+    let assim = ShardedAssimilator::new(
         store.clone(),
+        8,
+        1,
         Consistency::Strong,
         AlphaSchedule::Const(0.5),
     );

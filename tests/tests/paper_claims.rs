@@ -1,12 +1,13 @@
 //! The paper's quantitative claims, encoded as tests against the
-//! reproduction. Each test cites the section it pins down. These use the
-//! timing-only fast path where learning is irrelevant, so they are cheap
-//! enough for CI.
+//! reproduction: every run goes through the deterministic simulator on the
+//! Table I testbed timing ([`Scenario::table1`]). Each test cites the
+//! section it pins down. These use the timing-only fast path where learning
+//! is irrelevant, so they are cheap enough for CI.
 
-use vc_asgd::job::run_job;
 use vc_asgd::{AlphaSchedule, JobConfig};
 use vc_cost::{DbOverhead, FleetCost, TimeoutAnalysis};
 use vc_kvstore::{Consistency, LatencyModel};
+use vc_runtime::{run_scenario, RuntimeReport, Scenario};
 use vc_simnet::{table1, PreemptionModel};
 
 fn timing_cfg(pn: usize, cn: usize, tn: usize) -> JobConfig {
@@ -16,11 +17,20 @@ fn timing_cfg(pn: usize, cn: usize, tn: usize) -> JobConfig {
     cfg
 }
 
+fn run(cfg: JobConfig) -> RuntimeReport {
+    run_scenario(&Scenario::table1(cfg)).unwrap().report
+}
+
+/// Simulated training hours of a run.
+fn hours(cfg: JobConfig) -> f64 {
+    run(cfg).wall_s / 3600.0
+}
+
 #[test]
 fn sec4a_p5c5t2_runs_about_eight_hours() {
     // §IV-E: "the total training time is slightly more than 8 hr" for
     // P5C5T2 over 40 epochs.
-    let h = run_job(timing_cfg(5, 5, 2)).unwrap().total_time_h;
+    let h = hours(timing_cfg(5, 5, 2));
     assert!((7.5..10.5).contains(&h), "P5C5T2 took {h} h");
 }
 
@@ -29,9 +39,9 @@ fn fig3_p1c3_dips_at_t4_and_rises_at_t8() {
     // §IV-B / Fig. 3: "With P1C3, training time decreases from T2 to T4,
     // but increases from T4 to T8" — the single parameter server cannot
     // keep up with three clients at T8.
-    let t2 = run_job(timing_cfg(1, 3, 2)).unwrap().total_time_h;
-    let t4 = run_job(timing_cfg(1, 3, 4)).unwrap().total_time_h;
-    let t8 = run_job(timing_cfg(1, 3, 8)).unwrap().total_time_h;
+    let t2 = hours(timing_cfg(1, 3, 2));
+    let t4 = hours(timing_cfg(1, 3, 4));
+    let t8 = hours(timing_cfg(1, 3, 8));
     assert!(t4 < t2, "T4 {t4} should beat T2 {t2}");
     assert!(
         t8 > t4,
@@ -43,8 +53,8 @@ fn fig3_p1c3_dips_at_t4_and_rises_at_t8() {
 fn fig3_more_parameter_servers_fix_the_t8_bottleneck() {
     // §IV-B: "In P3C3T8, we increase Pn from 1 to 3, and the training time
     // indeed decreases" (by ~3 h on the paper's testbed).
-    let p1 = run_job(timing_cfg(1, 3, 8)).unwrap().total_time_h;
-    let p3 = run_job(timing_cfg(3, 3, 8)).unwrap().total_time_h;
+    let p1 = hours(timing_cfg(1, 3, 8));
+    let p3 = hours(timing_cfg(3, 3, 8));
     assert!(
         p3 < p1 - 1.0,
         "P3C3T8 {p3} should be hours faster than P1C3T8 {p1}"
@@ -69,8 +79,8 @@ fn sec4d_strong_consistency_stretches_training() {
     ev.consistency = Consistency::Eventual;
     let mut st = ev.clone();
     st.consistency = Consistency::Strong;
-    let ev_h = run_job(ev).unwrap().total_time_h;
-    let st_h = run_job(st).unwrap().total_time_h;
+    let ev_h = hours(ev);
+    let st_h = hours(st);
     assert!(
         st_h > ev_h,
         "strong {st_h} must be slower than eventual {ev_h}"
@@ -98,10 +108,10 @@ fn sec4e_des_preemption_cost_is_same_order_as_model() {
     // loss-discovery wait by roughly the grace factor (see
     // EXPERIMENTS.md), so the band is wider than a fixed-timeout run
     // would need.
-    let base = run_job(timing_cfg(5, 5, 2)).unwrap().total_time_h;
+    let base = hours(timing_cfg(5, 5, 2));
     let mut stormy = timing_cfg(5, 5, 2);
     stormy.preemption = PreemptionModel::BernoulliPerSubtask { p: 0.10 };
-    let hit = run_job(stormy).unwrap().total_time_h;
+    let hit = hours(stormy);
     let extra_min = (hit - base) * 60.0;
     let predicted_min = TimeoutAnalysis::paper_p5c5t2().expected_extra_s(0.10) / 60.0;
     assert!(extra_min > 0.0, "storm must cost time");
@@ -135,11 +145,11 @@ fn sec3c_alpha_999_barely_learns() {
     let mut cfg = JobConfig::test_small(21);
     cfg.epochs = 4;
     cfg.alpha = AlphaSchedule::Const(0.999);
-    let frozen = run_job(cfg).unwrap();
+    let frozen = run(cfg);
     let mut cfg2 = JobConfig::test_small(21);
     cfg2.epochs = 4;
     cfg2.alpha = AlphaSchedule::Const(0.6);
-    let learning = run_job(cfg2).unwrap();
+    let learning = run(cfg2);
     assert!(
         learning.final_mean_acc() > frozen.final_mean_acc() + 0.05,
         "alpha 0.6 {} vs alpha 0.999 {}",

@@ -4,7 +4,8 @@ use proptest::prelude::*;
 use vc_asgd::alpha::{blend_eq1, eq2_closed_form};
 use vc_data::{DataShard, Dataset, ShardSet};
 use vc_kvstore::VersionedStore;
-use vc_simnet::{EventQueue, SimTime};
+use vc_middleware::VirtualClock;
+use vc_simnet::SimTime;
 use vc_tensor::{decode_f32s, encode_f32s, Tensor};
 
 proptest! {
@@ -70,17 +71,18 @@ proptest! {
         }
     }
 
-    /// Event queue: pops are globally time-ordered regardless of insertion
-    /// order, and ties preserve insertion order.
+    /// Event queue (the virtual clock every simulation schedules on):
+    /// pops are globally time-ordered regardless of insertion order, and
+    /// ties preserve insertion order.
     #[test]
     fn event_queue_total_order(times in prop::collection::vec(0.0f64..1e6, 1..256)) {
-        let mut q = EventQueue::new();
+        let q = VirtualClock::new();
         for (i, &t) in times.iter().enumerate() {
-            q.schedule(SimTime::from_secs(t), i);
+            q.schedule(SimTime::from_secs(t), i as u64);
         }
         let mut prev_t = f64::NEG_INFINITY;
-        let mut prev_seq_at_t = 0usize;
-        while let Some((t, seq)) = q.pop() {
+        let mut prev_seq_at_t = 0u64;
+        while let Some((t, seq)) = q.advance() {
             prop_assert!(t.as_secs() >= prev_t);
             if t.as_secs() == prev_t {
                 prop_assert!(seq > prev_seq_at_t, "tie broke insertion order");

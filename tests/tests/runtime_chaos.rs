@@ -263,9 +263,10 @@ fn threaded_fleet_survives_preemption_with_respawn_and_message_chaos() {
     );
 }
 
-/// The threaded runtime, the deterministic simulation and the discrete-event
-/// simulator all assimilate the same deterministic client results, so their
-/// learning outcomes agree — three substrates, one algorithm.
+/// The threaded runtime and the deterministic simulation under both of its
+/// timings (flat test-scale and the paper's Table I testbed) all assimilate
+/// the same deterministic client results, so their learning outcomes agree
+/// — three schedules, one algorithm.
 #[test]
 fn runtime_simulation_and_simulator_agree_on_learning_outcome() {
     let mut cfg = RuntimeConfig::test_small(23);
@@ -273,7 +274,9 @@ fn runtime_simulation_and_simulator_agree_on_learning_outcome() {
     cfg.job.epochs = 4;
 
     let rt = run_runtime(cfg.clone()).unwrap();
-    let sim = vc_asgd::job::run_job(cfg.job).unwrap();
+    let sim = run_scenario(&Scenario::table1(cfg.job.clone()))
+        .unwrap()
+        .report;
     let dst = run_scenario(&Scenario::new(23).cn(4).epochs(4)).unwrap();
 
     assert_eq!(rt.epochs.len(), sim.epochs.len());
