@@ -84,10 +84,10 @@ impl Layer for Relu {
             .as_ref()
             .expect("Relu::backward called without a cached forward");
         assert_eq!(mask.len(), dy.numel(), "Relu mask/grad length mismatch");
+        // A select, not `if !m { *g = 0.0 }`: the mask is data-dependent,
+        // so the branch mispredicts and blocks vectorisation.
         for (g, &m) in dy.data_mut().iter_mut().zip(mask) {
-            if !m {
-                *g = 0.0;
-            }
+            *g = if m { *g } else { 0.0 };
         }
         dy
     }
@@ -129,6 +129,29 @@ mod tests {
         r.forward(&x, true);
         let dx = r.backward(&Tensor::from_vec(vec![5.0, 7.0], &[2]));
         assert_eq!(dx.data(), &[0.0, 7.0]);
+    }
+
+    #[test]
+    fn ws_backward_matches_plain_bitwise() {
+        let x = Tensor::from_vec(vec![-1.5, 0.0, -0.0, 2.0, 3.0, -4.0, 0.5, 1e-30], &[2, 4]);
+        let dy = Tensor::from_vec(vec![-0.0, 1.0, -2.0, -0.0, -3.0, 0.25, 0.0, -7.0], &[2, 4]);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut plain = Relu::new();
+        plain.forward(&x, true);
+        let want = plain.backward(&dy);
+        for fused in [false, true] {
+            let mut r = Relu::new();
+            if fused {
+                r.set_fused_upstream();
+            }
+            let mut ws = Workspace::new();
+            let _ = r.forward_ws(x.clone(), true, &mut ws);
+            let got = r.backward_ws(dy.clone(), &mut ws);
+            assert_eq!(bits(&got), bits(&want), "fused upstream: {fused}");
+        }
+        // The masked -0.0 becomes +0.0; the passed one keeps its sign.
+        assert_eq!(bits(&want)[0], 0.0f32.to_bits());
+        assert_eq!(bits(&want)[3], (-0.0f32).to_bits());
     }
 
     #[test]

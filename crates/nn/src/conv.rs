@@ -177,23 +177,18 @@ impl Conv2d {
         }
     }
 
-    /// Direct-path backward shared by [`Layer::backward`] and
-    /// [`Layer::backward_ws`]: dK, dbias and dx via the fused 3×3 kernels,
+    /// Direct-path parameter gradients shared by [`Layer::backward`] and
+    /// the workspace backward: dK and dbias via the fused 3×3 kernel,
     /// bit-identical to the im2col route (see `conv_direct`'s module docs).
-    /// All scratch (`dk_scratch`, `colsum`, `dx_scratch`, `dx`) is
-    /// caller-provided so the workspace path stays zero-allocation.
-    // Takes one slice per scratch buffer by design — bundling them into a
-    // struct would just move the argument list one level down.
-    #[allow(clippy::too_many_arguments)]
-    fn backward_direct(
+    /// Scratch is caller-provided so the workspace path stays
+    /// zero-allocation.
+    fn direct_param_grads(
         &mut self,
         dy: &Tensor,
         x: &Tensor,
         geom: ConvGeom,
         dk_scratch: &mut [f32],
         colsum: &mut [f32],
-        dx_scratch: &mut [f32],
-        dx: &mut [f32],
     ) {
         conv3x3_backward_dk_into(dy, x, geom, self.dkernel.data_mut(), dk_scratch);
         // dbias += per-channel sums of dy. Each channel's chain runs over
@@ -214,7 +209,90 @@ impl Conv2d {
         for (d, s) in self.dbias.data_mut().iter_mut().zip(colsum.iter()) {
             *d += s;
         }
-        conv3x3_backward_dx_into(dy, &self.kernel, self.in_ch, geom, dx, dx_scratch);
+    }
+
+    /// The parameter half of the workspace backward: accumulates dK and
+    /// dbias for the cached forward, then returns the output gradient in
+    /// the layout [`Self::input_grad_ws`] reads — image layout on the
+    /// direct path, `[rows, out_ch]` rows on the im2col path.
+    fn param_grads_ws(&mut self, dy: Tensor, ws: &mut Workspace) -> Tensor {
+        let cache = self
+            .cache
+            .take()
+            .expect("Conv2d::backward called without a cached forward");
+        let g = match &cache {
+            ConvCache::Input { x, geom, .. } => {
+                let mut dk_scratch =
+                    ws.take(conv_direct::dk_scratch_len(self.in_ch, self.out_ch, *geom));
+                let mut colsum = ws.take(self.out_ch);
+                self.direct_param_grads(&dy, x, *geom, &mut dk_scratch, &mut colsum);
+                ws.recycle(dk_scratch);
+                ws.recycle(colsum);
+                dy
+            }
+            ConvCache::Cols { cols, geom, batch } => {
+                let rows = batch * geom.out_h() * geom.out_w();
+                let mut dy_rows_buf = ws.take(rows * self.out_ch);
+                Self::images_to_rows_into(&dy, &mut dy_rows_buf);
+                ws.recycle(dy.into_vec());
+                let dy_rows = Tensor::from_vec(dy_rows_buf, &[rows, self.out_ch]);
+                matmul_at_b_epi_into(
+                    &dy_rows,
+                    cols,
+                    self.dkernel.data_mut(),
+                    Epilogue::Accumulate,
+                );
+                // dbias += column sums of dy_rows, in `sum_axis0`'s
+                // accumulation order so both backward paths stay
+                // bit-identical.
+                let mut colsum = ws.take(self.out_ch);
+                for r in 0..rows {
+                    let row = &dy_rows.data()[r * self.out_ch..(r + 1) * self.out_ch];
+                    for (o, v) in colsum.iter_mut().zip(row) {
+                        *o += v;
+                    }
+                }
+                for (d, s) in self.dbias.data_mut().iter_mut().zip(&colsum) {
+                    *d += s;
+                }
+                ws.recycle(colsum);
+                dy_rows
+            }
+        };
+        self.cache = Some(cache);
+        g
+    }
+
+    /// The input-gradient half of the workspace backward, consuming what
+    /// [`Self::param_grads_ws`] returned: the fused 3×3 dx kernel on the
+    /// direct path, `dcols = dy_rows · K` plus col2im on the im2col path.
+    fn input_grad_ws(&self, g: Tensor, ws: &mut Workspace) -> Tensor {
+        let cache = self
+            .cache
+            .as_ref()
+            .expect("param_grads_ws restores the cache");
+        let (geom, batch, direct) = match cache {
+            ConvCache::Input { geom, batch, .. } => (*geom, *batch, true),
+            ConvCache::Cols { geom, batch, .. } => (*geom, *batch, false),
+        };
+        let mut dx = ws.take(batch * self.in_ch * geom.h * geom.w);
+        if direct {
+            let mut dx_scratch =
+                ws.take(conv_direct::dx_scratch_len(batch, self.in_ch, self.out_ch));
+            conv3x3_backward_dx_into(&g, &self.kernel, self.in_ch, geom, &mut dx, &mut dx_scratch);
+            ws.recycle(dx_scratch);
+            ws.recycle(g.into_vec());
+        } else {
+            let rows = batch * geom.out_h() * geom.out_w();
+            let patch = self.in_ch * self.kh * self.kw;
+            let mut dcols = ws.take(rows * patch);
+            matmul_epi_into(&g, &self.kernel, &mut dcols, Epilogue::Store);
+            ws.recycle(g.into_vec());
+            let dcols = Tensor::from_vec(dcols, &[rows, patch]);
+            col2im_into(&dcols, batch, self.in_ch, geom, &mut dx);
+            ws.recycle(dcols.into_vec());
+        }
+        Tensor::from_vec(dx, &[batch, self.in_ch, geom.h, geom.w])
     }
 }
 
@@ -265,14 +343,14 @@ impl Layer for Conv2d {
                 let mut dx_scratch =
                     vec![0.0f32; conv_direct::dx_scratch_len(batch, self.in_ch, self.out_ch)];
                 let mut dx = vec![0.0f32; batch * self.in_ch * geom.h * geom.w];
-                self.backward_direct(
+                self.direct_param_grads(dy, &x, geom, &mut dk_scratch, &mut colsum);
+                conv3x3_backward_dx_into(
                     dy,
-                    &x,
+                    &self.kernel,
+                    self.in_ch,
                     geom,
-                    &mut dk_scratch,
-                    &mut colsum,
-                    &mut dx_scratch,
                     &mut dx,
+                    &mut dx_scratch,
                 );
                 let dims = [batch, self.in_ch, geom.h, geom.w];
                 self.cache = Some(ConvCache::Input { x, geom, batch });
@@ -352,74 +430,15 @@ impl Layer for Conv2d {
     }
 
     fn backward_ws(&mut self, dy: Tensor, ws: &mut Workspace) -> Tensor {
-        let cache = self
-            .cache
-            .take()
-            .expect("Conv2d::backward called without a cached forward");
-        match cache {
-            ConvCache::Input { x, geom, batch } => {
-                let mut dk_scratch =
-                    ws.take(conv_direct::dk_scratch_len(self.in_ch, self.out_ch, geom));
-                let mut colsum = ws.take(self.out_ch);
-                let mut dx_scratch =
-                    ws.take(conv_direct::dx_scratch_len(batch, self.in_ch, self.out_ch));
-                let mut dx = ws.take(batch * self.in_ch * geom.h * geom.w);
-                self.backward_direct(
-                    &dy,
-                    &x,
-                    geom,
-                    &mut dk_scratch,
-                    &mut colsum,
-                    &mut dx_scratch,
-                    &mut dx,
-                );
-                ws.recycle(dk_scratch);
-                ws.recycle(colsum);
-                ws.recycle(dx_scratch);
-                ws.recycle(dy.into_vec());
-                let dims = [batch, self.in_ch, geom.h, geom.w];
-                self.cache = Some(ConvCache::Input { x, geom, batch });
-                Tensor::from_vec(dx, &dims)
-            }
-            ConvCache::Cols { cols, geom, batch } => {
-                let (oh, ow) = (geom.out_h(), geom.out_w());
-                let rows = batch * oh * ow;
-                let patch = self.in_ch * self.kh * self.kw;
-                let mut dy_rows_buf = ws.take(rows * self.out_ch);
-                Self::images_to_rows_into(&dy, &mut dy_rows_buf);
-                ws.recycle(dy.into_vec());
-                let dy_rows = Tensor::from_vec(dy_rows_buf, &[rows, self.out_ch]);
-                matmul_at_b_epi_into(
-                    &dy_rows,
-                    &cols,
-                    self.dkernel.data_mut(),
-                    Epilogue::Accumulate,
-                );
-                // dbias += column sums of dy_rows, in `sum_axis0`'s
-                // accumulation order so both backward paths stay
-                // bit-identical.
-                let mut colsum = ws.take(self.out_ch);
-                for r in 0..rows {
-                    let row = &dy_rows.data()[r * self.out_ch..(r + 1) * self.out_ch];
-                    for (o, v) in colsum.iter_mut().zip(row) {
-                        *o += v;
-                    }
-                }
-                for (d, s) in self.dbias.data_mut().iter_mut().zip(&colsum) {
-                    *d += s;
-                }
-                ws.recycle(colsum);
-                let mut dcols = ws.take(rows * patch);
-                matmul_epi_into(&dy_rows, &self.kernel, &mut dcols, Epilogue::Store);
-                ws.recycle(dy_rows.into_vec());
-                let dcols = Tensor::from_vec(dcols, &[rows, patch]);
-                let mut dx = ws.take(batch * self.in_ch * geom.h * geom.w);
-                col2im_into(&dcols, batch, self.in_ch, geom, &mut dx);
-                ws.recycle(dcols.into_vec());
-                let dims = [batch, self.in_ch, geom.h, geom.w];
-                self.cache = Some(ConvCache::Cols { cols, geom, batch });
-                Tensor::from_vec(dx, &dims)
-            }
+        let g = self.param_grads_ws(dy, ws);
+        self.input_grad_ws(g, ws)
+    }
+
+    fn backward_params_ws(&mut self, dy: Tensor, ws: &mut Workspace) {
+        let g = self.param_grads_ws(dy, ws);
+        ws.recycle(g.into_vec());
+        if let Some(cache) = self.cache.take() {
+            ws.recycle(cache.into_vec());
         }
     }
 

@@ -69,6 +69,32 @@ impl Dense {
             Epilogue::Bias(self.b.data())
         }
     }
+
+    /// The parameter half of the workspace backward: `dW += xᵀ·dy` and
+    /// `db +=` column sums of `dy`.
+    fn param_grads_ws(&mut self, dy: &Tensor, ws: &mut Workspace) {
+        let x = self
+            .x_cache
+            .take()
+            .expect("Dense::backward called without a cached forward");
+        matmul_at_b_epi_into(&x, dy, self.dw.data_mut(), Epilogue::Accumulate);
+        self.x_cache = Some(x);
+        // db += column sums of dy, in `sum_axis0`'s exact accumulation order
+        // (zero-initialized partial sum, rows ascending) so both backward
+        // paths stay bit-identical.
+        let m = dy.dims()[0];
+        let mut colsum = ws.take(self.out_dim);
+        for r in 0..m {
+            let row = &dy.data()[r * self.out_dim..(r + 1) * self.out_dim];
+            for (o, v) in colsum.iter_mut().zip(row) {
+                *o += v;
+            }
+        }
+        for (d, s) in self.db.data_mut().iter_mut().zip(&colsum) {
+            *d += s;
+        }
+        ws.recycle(colsum);
+    }
 }
 
 impl Layer for Dense {
@@ -117,31 +143,20 @@ impl Layer for Dense {
     }
 
     fn backward_ws(&mut self, dy: Tensor, ws: &mut Workspace) -> Tensor {
-        let x = self
-            .x_cache
-            .take()
-            .expect("Dense::backward called without a cached forward");
-        matmul_at_b_epi_into(&x, &dy, self.dw.data_mut(), Epilogue::Accumulate);
-        self.x_cache = Some(x);
-        // db += column sums of dy, in `sum_axis0`'s exact accumulation order
-        // (zero-initialized partial sum, rows ascending) so both backward
-        // paths stay bit-identical.
+        self.param_grads_ws(&dy, ws);
         let m = dy.dims()[0];
-        let mut colsum = ws.take(self.out_dim);
-        for r in 0..m {
-            let row = &dy.data()[r * self.out_dim..(r + 1) * self.out_dim];
-            for (o, v) in colsum.iter_mut().zip(row) {
-                *o += v;
-            }
-        }
-        for (d, s) in self.db.data_mut().iter_mut().zip(&colsum) {
-            *d += s;
-        }
-        ws.recycle(colsum);
         let mut dx = ws.take(m * self.in_dim);
         matmul_a_bt_epi_into(&dy, &self.w, &mut dx, Epilogue::Store);
         ws.recycle(dy.into_vec());
         Tensor::from_vec(dx, &[m, self.in_dim])
+    }
+
+    fn backward_params_ws(&mut self, dy: Tensor, ws: &mut Workspace) {
+        self.param_grads_ws(&dy, ws);
+        ws.recycle(dy.into_vec());
+        if let Some(x) = self.x_cache.take() {
+            ws.recycle(x.into_vec());
+        }
     }
 
     fn enable_relu_fusion(&mut self) -> bool {

@@ -49,6 +49,21 @@ pub trait Layer: Send {
         dx
     }
 
+    /// Parameter-only variant of [`backward_ws`](Layer::backward_ws):
+    /// accumulates exactly the parameter gradients `backward_ws` would, but
+    /// computes no input gradient. The trainer calls it on the first
+    /// trainable layer, whose input gradient nobody reads. The default runs
+    /// `backward_ws` and recycles the result; layers whose input gradient
+    /// costs real work (conv, dense) override it to skip that work.
+    ///
+    /// It ends the step for this layer: an override may hand its forward
+    /// cache back to `ws` (the next step's batch gather then reuses that
+    /// buffer), so another backward needs a fresh training forward first.
+    fn backward_params_ws(&mut self, dy: Tensor, ws: &mut Workspace) {
+        let dx = self.backward_ws(dy, ws);
+        ws.recycle(dx.into_vec());
+    }
+
     /// Asks the layer to fuse a ReLU into its output epilogue (the
     /// bias+activation epilogue of the blocked GEMM). Returns `true` when
     /// the layer supports it and has switched it on; the following ReLU
@@ -154,6 +169,13 @@ mod tests {
         assert_eq!(ws.pooled(), 1, "consumed input must be recycled");
         let dy = l.backward_ws(y, &mut ws);
         assert_eq!(dy.dims(), &[2, 3]);
+        let pooled = ws.pooled();
+        l.backward_params_ws(dy, &mut ws);
+        assert_eq!(
+            ws.pooled(),
+            pooled + 2,
+            "both the consumed dy and the dropped dx must be recycled"
+        );
         assert!(!l.enable_relu_fusion());
         assert!(!l.is_relu());
     }

@@ -199,6 +199,24 @@ impl Layer for Sequential {
         self.backward_pipeline_ws(dy, ws)
     }
 
+    /// Backward for a trainer that reads only parameter gradients: the
+    /// full workspace backward down to the first layer that owns
+    /// parameters, its parameter-only backward there, and nothing below it
+    /// — the parameter-free layers under it (e.g. a leading `Flatten`)
+    /// have no gradient to accumulate. `grads_flat()` afterwards is
+    /// bitwise what [`Self::backward_pipeline_ws`] leaves.
+    fn backward_params_ws(&mut self, dy: Tensor, ws: &mut Workspace) {
+        let Some(first) = self.layers.iter().position(|l| l.param_len() > 0) else {
+            ws.recycle(dy.into_vec());
+            return;
+        };
+        let mut cur = dy;
+        for l in self.layers[first + 1..].iter_mut().rev() {
+            cur = l.backward_ws(cur, ws);
+        }
+        self.layers[first].backward_params_ws(cur, ws);
+    }
+
     fn param_len(&self) -> usize {
         self.param_count()
     }
@@ -384,6 +402,76 @@ mod tests {
         let _ = fused.backward_pipeline_ws(dy2, &mut ws);
         let (_, misses_steady) = ws.stats();
         assert_eq!(misses_warm, misses_steady, "steady-state step allocated");
+    }
+
+    /// Two training steps (so each layer's recycle-previous-cache path
+    /// runs) on twin replicas of `spec`, one with the full workspace
+    /// backward and one with the parameter-only backward; the gradients
+    /// must match bit for bit after every step.
+    fn assert_params_only_backward_is_bitwise(spec: &crate::ModelSpec, batch: usize) {
+        let mut full = spec.build(60);
+        let mut params_only = spec.build(60);
+        full.fuse_relu();
+        params_only.fuse_relu();
+        let mut dims = vec![batch];
+        dims.extend_from_slice(&spec.input);
+        let mut s = NormalSampler::seed_from(61);
+        let x = Tensor::randn(&dims, 0.0, 1.0, &mut s);
+        let labels: Vec<usize> = (0..batch).map(|i| i % spec.classes).collect();
+        let (mut ws_full, mut ws_params) = (Workspace::new(), Workspace::new());
+        let bits = |m: &Sequential| {
+            m.grads_flat()
+                .iter()
+                .map(|g| g.to_bits())
+                .collect::<Vec<_>>()
+        };
+        for step in 0..2 {
+            let logits = full.forward_pipeline_ws(x.clone(), true, &mut ws_full);
+            let (_, dy) = SoftmaxCrossEntropy::loss_and_grad_ws(logits, &labels);
+            full.zero_grads_all();
+            let dx = full.backward_pipeline_ws(dy, &mut ws_full);
+            ws_full.recycle(dx.into_vec());
+
+            let logits = params_only.forward_pipeline_ws(x.clone(), true, &mut ws_params);
+            let (_, dy) = SoftmaxCrossEntropy::loss_and_grad_ws(logits, &labels);
+            params_only.zero_grads_all();
+            params_only.backward_params_ws(dy, &mut ws_params);
+
+            assert_eq!(
+                bits(&full),
+                bits(&params_only),
+                "{}: step {step} grads differ",
+                spec.name
+            );
+        }
+    }
+
+    #[test]
+    fn params_only_backward_matches_full_backward_bitwise() {
+        // Forces the direct 3×3 conv path, so hold the toggle lock.
+        let _g = crate::CONV_PATH_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        use crate::spec::{mlp, resnet_lite, small_cnn};
+        use crate::LayerSpec;
+        vc_tensor::conv_direct::set_enabled(true);
+        // First layer: a direct-path 3×3 conv.
+        assert_params_only_backward_is_bitwise(&small_cnn(&[3, 8, 8], 4), 3);
+        // First layer: a parameter-free `Flatten`, then a dense.
+        assert_params_only_backward_is_bitwise(&mlp(&[2, 4, 4], 8, 3), 4);
+        // Residual blocks and BatchNorm above the stem conv.
+        assert_params_only_backward_is_bitwise(&resnet_lite(&[3, 8, 8], 1, 4), 2);
+        // First layer: a 5×5 conv, which takes the im2col route.
+        let mut wide = small_cnn(&[3, 8, 8], 4);
+        wide.layers[0] = LayerSpec::Conv {
+            in_ch: 3,
+            out_ch: 16,
+            k: 5,
+            stride: 1,
+            pad: 2,
+        };
+        assert_params_only_backward_is_bitwise(&wide, 3);
+        vc_tensor::conv_direct::clear_forced();
     }
 
     #[test]

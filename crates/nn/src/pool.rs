@@ -37,22 +37,28 @@ impl MaxPool2 {
             a.resize(out.len(), 0);
         }
         for bc in 0..b * c {
-            let plane = &src[bc * h * w..(bc + 1) * h * w];
+            let base = bc * h * w;
+            let plane = &src[base..base + h * w];
             for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut best_idx = (2 * oy) * w + 2 * ox;
-                    let mut best = plane[best_idx];
-                    for (dy, dx) in [(0, 1), (1, 0), (1, 1)] {
-                        let idx = (2 * oy + dy) * w + 2 * ox + dx;
-                        if plane[idx] > best {
-                            best = plane[idx];
-                            best_idx = idx;
-                        }
+                let top = 2 * oy * w;
+                let (r0, r1) = plane[top..top + 2 * w].split_at(w);
+                let o0 = bc * oh * ow + oy * ow;
+                let windows = r0.chunks_exact(2).zip(r1.chunks_exact(2));
+                for (ox, (p0, p1)) in windows.enumerate() {
+                    // Selects, not a branch on a data-dependent compare.
+                    // The strict `>` keeps the first element on ties and
+                    // NaNs.
+                    let x = top + 2 * ox;
+                    let mut best = p0[0];
+                    let mut best_idx = x;
+                    for (v, idx) in [(p0[1], x + 1), (p1[0], x + w), (p1[1], x + w + 1)] {
+                        let take = v > best;
+                        best = if take { v } else { best };
+                        best_idx = if take { idx } else { best_idx };
                     }
-                    let o = bc * oh * ow + oy * ow + ox;
-                    out[o] = best;
+                    out[o0 + ox] = best;
                     if let Some(a) = arg.as_deref_mut() {
-                        a[o] = bc * h * w + best_idx;
+                        a[o0 + ox] = base + best_idx;
                     }
                 }
             }
@@ -330,6 +336,27 @@ mod tests {
         p.forward(&x, true);
         let dx = p.backward(&Tensor::from_vec(vec![10.0], &[1, 1, 1, 1]));
         assert_eq!(dx.data(), &[0.0, 0.0, 0.0, 10.0]);
+    }
+
+    #[test]
+    fn maxpool_ties_and_nans_keep_first_element() {
+        // Windows: all-equal, NaN first, NaN second.
+        let nan = f32::NAN;
+        let x = Tensor::from_vec(
+            vec![
+                2.0, 2.0, nan, 5.0, 1.0, nan, //
+                2.0, 2.0, 1.0, 0.0, 3.0, 2.0,
+            ],
+            &[1, 1, 2, 6],
+        );
+        let mut p = MaxPool2::new();
+        let y = p.forward(&x, true);
+        assert_eq!(y.data()[0], 2.0);
+        assert!(y.data()[1].is_nan());
+        assert_eq!(y.data()[2], 3.0);
+        let dx = p.backward(&Tensor::ones(&[1, 1, 1, 3]));
+        let hot: Vec<usize> = (0..12).filter(|&i| dx.data()[i] != 0.0).collect();
+        assert_eq!(hot, vec![0, 2, 10]);
     }
 
     #[test]

@@ -131,7 +131,10 @@ pub fn train_minibatch<R: Rng>(
 /// [`train_minibatch`] through the zero-allocation workspace path: tensors
 /// move by value through the layer chain drawing buffers from `tws`, the
 /// ReLU activations are fused into the GEMM epilogues, and the flat
-/// parameter/gradient vectors are reused across steps. Bit-identical to
+/// parameter/gradient vectors are reused across steps. The backward pass
+/// computes only what the optimizer reads: it stops at the first layer
+/// with parameters and never computes that layer's input gradient (see
+/// [`Layer::backward_params_ws`]). Bit-identical to
 /// [`train_minibatch`] for the same inputs and RNG — the fused kernels
 /// perform the same floating-point operations in the same order — so the
 /// two variants are interchangeable mid-run.
@@ -194,8 +197,7 @@ pub fn train_minibatch_ws<R: Rng>(
             let logits = model.forward_pipeline_ws(batch, true, ws);
             let (loss, dlogits) = SoftmaxCrossEntropy::loss_and_grad_ws(logits, batch_labels);
             model.zero_grads_all();
-            let dx = model.backward_pipeline_ws(dlogits, ws);
-            ws.recycle(dx.into_vec());
+            model.backward_params_ws(dlogits, ws);
             model.grads_flat_into(grads);
             if clip_norm.is_finite() {
                 clip_by_global_norm(grads, clip_norm);
@@ -230,7 +232,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use vc_nn::metrics::evaluate;
-    use vc_nn::spec::mlp;
+    use vc_nn::spec::{mlp, resnet_lite, small_cnn};
     use vc_tensor::NormalSampler;
 
     /// Two linearly separable Gaussian blobs.
@@ -299,24 +301,39 @@ mod tests {
 
     #[test]
     fn ws_variant_is_bit_identical_to_plain() {
-        let spec = mlp(&[2], 8, 2);
         let (x, y) = blobs(60, 20);
-        let plain = {
+        let mut s = NormalSampler::seed_from(23);
+        let images = Tensor::randn(&[20, 3, 8, 8], 0.0, 1.0, &mut s);
+        let classes: Vec<usize> = (0..20).map(|i| i % 4).collect();
+        let cases = [
+            (mlp(&[2], 8, 2), &x, &y),
+            (small_cnn(&[3, 8, 8], 4), &images, &classes),
+            (resnet_lite(&[3, 8, 8], 1, 4), &images, &classes),
+        ];
+        for (spec, x, y) in cases {
+            let plain = {
+                let mut model = spec.build(21);
+                let mut opt = OptimizerSpec::paper_adam().build(model.param_count());
+                let mut rng = StdRng::seed_from_u64(22);
+                train_minibatch(&mut model, &mut opt, x, y, 16, 3, 1.0, &mut rng);
+                model.params_flat()
+            };
             let mut model = spec.build(21);
             let mut opt = OptimizerSpec::paper_adam().build(model.param_count());
             let mut rng = StdRng::seed_from_u64(22);
-            train_minibatch(&mut model, &mut opt, &x, &y, 16, 3, 1.0, &mut rng);
-            model.params_flat()
-        };
-        let mut model = spec.build(21);
-        let mut opt = OptimizerSpec::paper_adam().build(model.param_count());
-        let mut rng = StdRng::seed_from_u64(22);
-        let mut tws = TrainWorkspace::new();
-        let stats = train_minibatch_ws(
-            &mut model, &mut opt, &x, &y, 16, 3, 1.0, &mut rng, &mut tws, None,
-        );
-        assert_eq!(stats.samples, 180);
-        assert_eq!(model.params_flat(), plain, "ws path must be bit-identical");
+            let mut tws = TrainWorkspace::new();
+            let stats = train_minibatch_ws(
+                &mut model, &mut opt, x, y, 16, 3, 1.0, &mut rng, &mut tws, None,
+            );
+            assert_eq!(stats.samples, 3 * y.len());
+            let bits = |p: &[f32]| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&model.params_flat()),
+                bits(&plain),
+                "{}: ws path must be bit-identical",
+                spec.name
+            );
+        }
     }
 
     #[test]
