@@ -1,11 +1,9 @@
 //! Delay-Compensated ASGD (Zheng et al., ICML 2017).
 
 use crate::harness::{AsyncCurve, AsyncEnvConfig, AsyncPoint};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use vc_nn::{Layer, SoftmaxCrossEntropy};
-use vc_tensor::Tensor;
+use vc_tensor::{Tensor, Workspace};
 
 /// DC-ASGD parameters.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -54,10 +52,8 @@ pub fn run_dcasgd(cfg: &DcAsgdConfig) -> AsyncCurve {
     let mut server = env.init_params.clone();
     // Each client's last-fetched parameter copy (the W_bak of the paper).
     let mut backup: Vec<Vec<f32>> = vec![server.clone(); n];
-    let mut rngs: Vec<StdRng> = (0..n)
-        .map(|i| StdRng::seed_from_u64(cfg.env.seed.wrapping_add(900 + i as u64)))
-        .collect();
     let mut cursors = vec![0usize; n];
+    let mut ws = Workspace::new();
 
     let mut points = Vec::new();
     let mut dropped = 0usize;
@@ -68,13 +64,12 @@ pub fn run_dcasgd(cfg: &DcAsgdConfig) -> AsyncCurve {
         let bs = cfg.batch_size.min(data.len());
         let idx: Vec<usize> = (0..bs).map(|k| (cursors[c] + k) % data.len()).collect();
         cursors[c] = (cursors[c] + bs) % data.len();
-        let _ = &mut rngs[c]; // reserved for future stochastic batch picks
         let sub = data.select(&idx);
         let mut model = env.model_with(&backup[c]);
-        let logits = model.forward(&sub.images, true);
-        let (_, dlogits) = SoftmaxCrossEntropy::loss_and_grad(&logits, &sub.labels);
+        let logits = model.forward_ws(sub.images, true, &mut ws);
+        let (_, dlogits) = SoftmaxCrossEntropy::loss_and_grad_ws(logits, &sub.labels);
         model.zero_grads_all();
-        model.backward(&dlogits);
+        model.backward_params_ws(dlogits, &mut ws);
         let g = model.grads_flat();
 
         if env.drops(cfg.env.drop_prob) {

@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 use vc_data::SyntheticSpec;
 use vc_nn::metrics::evaluate;
 use vc_nn::ModelSpec;
-use vc_optim::{train_minibatch, OptimizerSpec};
+use vc_optim::{train_minibatch_ws, OptimizerSpec, TrainWorkspace};
 use vc_simnet::{table1, ComputeModel, InstanceSpec};
 
 /// Configuration of the serial run.
@@ -104,6 +104,7 @@ pub fn run_serial(cfg: &SerialConfig) -> SerialReport {
     let mut model = cfg.model.build(cfg.seed);
     let mut opt = cfg.optimizer.build(model.param_count());
     let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(17));
+    let mut tws = TrainWorkspace::new();
 
     // The distributed job splits this dataset into 50 shards; time one
     // serial epoch as the equivalent 50 subtasks run back-to-back.
@@ -113,7 +114,7 @@ pub fn run_serial(cfg: &SerialConfig) -> SerialReport {
     let mut epochs = Vec::with_capacity(cfg.epochs);
     let mut now_s = 0.0;
     for e in 1..=cfg.epochs {
-        let stats = train_minibatch(
+        let stats = train_minibatch_ws(
             &mut model,
             &mut opt,
             &train.images,
@@ -122,6 +123,8 @@ pub fn run_serial(cfg: &SerialConfig) -> SerialReport {
             1,
             5.0,
             &mut rng,
+            &mut tws,
+            None,
         );
         now_s += epoch_s;
         let (_, val_acc) = evaluate(&mut model, &val.images, &val.labels, 256);

@@ -361,8 +361,9 @@ impl LegacySmallCnn {
         let (r3, m3) = relu_forward(&d1);
         let logits = self.fc2.forward(&r3);
 
-        // Softmax cross-entropy, as the shared loss does.
-        let (loss, dlogits) = vc_nn::SoftmaxCrossEntropy::loss_and_grad(&logits, labels);
+        // Softmax cross-entropy, as the shared loss does; the clone keeps
+        // the seed loop's per-step gradient allocation.
+        let (loss, dlogits) = vc_nn::SoftmaxCrossEntropy::loss_and_grad_ws(logits.clone(), labels);
 
         // Backward.
         self.zero_grads();

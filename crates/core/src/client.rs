@@ -14,7 +14,7 @@ use crate::config::JobConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use vc_data::Dataset;
-use vc_optim::{train_minibatch, train_minibatch_ws, StepTimer, TrainWorkspace};
+use vc_optim::{train_minibatch_ws, StepTimer, TrainWorkspace};
 
 /// The RNG stream a client replica uses for `(epoch, shard)`. Deterministic
 /// per `(seed, epoch, shard)` — a reassigned subtask reproduces the same
@@ -28,11 +28,10 @@ pub fn client_rng(seed: u64, epoch: usize, shard: usize) -> StdRng {
 
 /// Trains one client replica: start from `snapshot`, run
 /// `cfg.local_epochs` over the shard's `data`, return the replica's
-/// parameters (the payload the client uploads). Runs the zero-allocation
-/// workspace path, bit-identical to plain [`vc_optim::train_minibatch`] for
-/// the same `(seed, epoch, shard)` (the tests pin it); a long-lived worker
-/// passes the same `tws` to every subtask so steady-state steps reuse all
-/// buffers.
+/// parameters (the payload the client uploads). A long-lived worker passes
+/// the same `tws` to every subtask so steady-state steps reuse all buffers;
+/// the result does not depend on what the workspace held before (the tests
+/// pin it).
 /// `timer`, when given, receives one observation per optimizer step.
 pub fn train_client_replica_ws(
     cfg: &JobConfig,
@@ -84,11 +83,12 @@ pub fn warm_start_params(
     model.set_params_flat(init);
     let mut opt = cfg.optimizer.build(init.len());
     let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(0xDA7A));
+    let mut tws = TrainWorkspace::new();
     // The serial phase sees the full training set, shard by shard.
     for _ in 0..cfg.warm_start_epochs {
         for shard in 0..cfg.shards {
             let d = &shards.shard(shard).data;
-            train_minibatch(
+            train_minibatch_ws(
                 &mut model,
                 &mut opt,
                 &d.images,
@@ -97,6 +97,8 @@ pub fn warm_start_params(
                 1,
                 5.0,
                 &mut rng,
+                &mut tws,
+                None,
             );
         }
     }
@@ -108,8 +110,8 @@ mod tests {
     use super::*;
     use vc_data::ShardSet;
 
-    /// The plain (allocating) client step: the reference the workspace
-    /// path must reproduce bit for bit.
+    /// One client step on a fresh workspace: the reference a worker's
+    /// reused workspace must reproduce bit for bit.
     fn train_client_replica(
         cfg: &JobConfig,
         snapshot: &[f32],
@@ -117,21 +119,8 @@ mod tests {
         epoch: usize,
         shard: usize,
     ) -> Vec<f32> {
-        let mut model = cfg.model.build(cfg.seed);
-        model.set_params_flat(snapshot);
-        let mut opt = cfg.optimizer.build(snapshot.len());
-        let mut rng = client_rng(cfg.seed, epoch, shard);
-        train_minibatch(
-            &mut model,
-            &mut opt,
-            &data.images,
-            &data.labels,
-            cfg.batch_size,
-            cfg.local_epochs,
-            5.0,
-            &mut rng,
-        );
-        model.params_flat()
+        let mut tws = TrainWorkspace::new();
+        train_client_replica_ws(cfg, snapshot, data, epoch, shard, &mut tws, None)
     }
 
     #[test]
@@ -155,9 +144,11 @@ mod tests {
         let shards = ShardSet::split(&train, cfg.shards);
         let init = cfg.model.build(cfg.seed).params_flat();
         let plain = train_client_replica(&cfg, &init, &shards.shard(1).data, 3, 1);
-        let mut tws = vc_optim::TrainWorkspace::new();
+        // A worker's workspace, already warmed by a different subtask.
+        let mut tws = TrainWorkspace::new();
+        train_client_replica_ws(&cfg, &init, &shards.shard(2).data, 0, 2, &mut tws, None);
         let ws1 = train_client_replica_ws(&cfg, &init, &shards.shard(1).data, 3, 1, &mut tws, None);
-        assert_eq!(plain, ws1, "workspace path must reproduce the plain path");
+        assert_eq!(plain, ws1, "a warm workspace must reproduce a fresh one");
         // Reusing the same workspace across subtasks stays correct.
         let ws2 = train_client_replica_ws(&cfg, &init, &shards.shard(1).data, 3, 1, &mut tws, None);
         assert_eq!(plain, ws2);

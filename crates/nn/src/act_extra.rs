@@ -3,8 +3,28 @@
 //! The reference models use plain ReLU; these exist for library
 //! completeness and for the activation ablation.
 
-use crate::layer::Layer;
-use vc_tensor::Tensor;
+use crate::layer::{pooled_copy, Layer};
+use vc_tensor::{Tensor, Workspace};
+
+/// Replaces the training cache in `slot` with a pooled copy of `t` when
+/// training, or just drops it for inference; the old copy is recycled.
+fn recache(slot: &mut Option<Tensor>, t: &Tensor, train: bool, ws: &mut Workspace) {
+    if let Some(old) = slot.take() {
+        ws.recycle(old.into_vec());
+    }
+    if train {
+        *slot = Some(pooled_copy(t, ws));
+    }
+}
+
+/// The cached tensor a backward reads, checked against the gradient shape.
+fn cached<'a>(slot: &'a Option<Tensor>, dy: &Tensor, layer: &str) -> &'a Tensor {
+    let c = slot
+        .as_ref()
+        .unwrap_or_else(|| panic!("{layer}::backward called without a cached forward"));
+    assert_eq!(c.dims(), dy.dims(), "{layer} cache/grad shape mismatch");
+    c
+}
 
 /// Logistic sigmoid `y = 1/(1+e^{-x})`, elementwise.
 pub struct Sigmoid {
@@ -25,21 +45,19 @@ impl Default for Sigmoid {
 }
 
 impl Layer for Sigmoid {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let y = x.map(|v| 1.0 / (1.0 + (-v).exp()));
-        if train {
-            self.y_cache = Some(y.clone());
-        }
-        y
+    fn forward_ws(&mut self, mut x: Tensor, train: bool, ws: &mut Workspace) -> Tensor {
+        x.map_inplace(|v| 1.0 / (1.0 + (-v).exp()));
+        recache(&mut self.y_cache, &x, train, ws);
+        x
     }
 
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let y = self
-            .y_cache
-            .as_ref()
-            .expect("Sigmoid::backward called without a cached forward");
+    fn backward_ws(&mut self, mut dy: Tensor, _ws: &mut Workspace) -> Tensor {
+        let y = cached(&self.y_cache, &dy, "Sigmoid");
         // dy * y * (1 - y)
-        dy.zip_with(y, |g, yv| g * yv * (1.0 - yv))
+        for (g, &yv) in dy.data_mut().iter_mut().zip(y.data()) {
+            *g = *g * yv * (1.0 - yv);
+        }
+        dy
     }
 
     fn name(&self) -> &'static str {
@@ -70,20 +88,18 @@ impl Default for Tanh {
 }
 
 impl Layer for Tanh {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let y = x.map(f32::tanh);
-        if train {
-            self.y_cache = Some(y.clone());
-        }
-        y
+    fn forward_ws(&mut self, mut x: Tensor, train: bool, ws: &mut Workspace) -> Tensor {
+        x.map_inplace(f32::tanh);
+        recache(&mut self.y_cache, &x, train, ws);
+        x
     }
 
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let y = self
-            .y_cache
-            .as_ref()
-            .expect("Tanh::backward called without a cached forward");
-        dy.zip_with(y, |g, yv| g * (1.0 - yv * yv))
+    fn backward_ws(&mut self, mut dy: Tensor, _ws: &mut Workspace) -> Tensor {
+        let y = cached(&self.y_cache, &dy, "Tanh");
+        for (g, &yv) in dy.data_mut().iter_mut().zip(y.data()) {
+            *g *= 1.0 - yv * yv;
+        }
+        dy
     }
 
     fn name(&self) -> &'static str {
@@ -113,21 +129,20 @@ impl LeakyRelu {
 }
 
 impl Layer for LeakyRelu {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        if train {
-            self.x_cache = Some(x.clone());
-        }
+    fn forward_ws(&mut self, mut x: Tensor, train: bool, ws: &mut Workspace) -> Tensor {
+        recache(&mut self.x_cache, &x, train, ws);
         let s = self.slope;
-        x.map(|v| if v > 0.0 { v } else { s * v })
+        x.map_inplace(|v| if v > 0.0 { v } else { s * v });
+        x
     }
 
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let x = self
-            .x_cache
-            .as_ref()
-            .expect("LeakyRelu::backward called without a cached forward");
+    fn backward_ws(&mut self, mut dy: Tensor, _ws: &mut Workspace) -> Tensor {
+        let x = cached(&self.x_cache, &dy, "LeakyRelu");
         let s = self.slope;
-        dy.zip_with(x, |g, xv| if xv > 0.0 { g } else { s * g })
+        for (g, &xv) in dy.data_mut().iter_mut().zip(x.data()) {
+            *g = if xv > 0.0 { *g } else { s * *g };
+        }
+        dy
     }
 
     fn name(&self) -> &'static str {

@@ -11,7 +11,9 @@ use vc_tensor::{Tensor, Workspace};
 /// because `relu(x) > 0 ⇔ x > 0` the backward mask computed from them is
 /// bit-identical to the unfused one.
 pub struct Relu {
-    mask: Option<Vec<bool>>,
+    /// `x > 0` per element of the last training forward; empty when there
+    /// is none. Its capacity is reused across steps.
+    mask: Vec<bool>,
     fused_upstream: bool,
 }
 
@@ -19,16 +21,9 @@ impl Relu {
     /// Builds a ReLU layer.
     pub fn new() -> Self {
         Relu {
-            mask: None,
+            mask: Vec::new(),
             fused_upstream: false,
         }
-    }
-
-    /// Records `x > 0` per element into the reused mask buffer.
-    fn record_mask(&mut self, x: &Tensor) {
-        let mask = self.mask.get_or_insert_with(Vec::new);
-        mask.clear();
-        mask.extend(x.data().iter().map(|&v| v > 0.0));
     }
 }
 
@@ -39,36 +34,10 @@ impl Default for Relu {
 }
 
 impl Layer for Relu {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        if train {
-            self.record_mask(x);
-        }
-        if self.fused_upstream {
-            // Upstream epilogue already rectified; values pass unchanged.
-            x.clone()
-        } else {
-            x.map(|v| v.max(0.0))
-        }
-    }
-
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let mask = self
-            .mask
-            .as_ref()
-            .expect("Relu::backward called without a cached forward");
-        assert_eq!(mask.len(), dy.numel(), "Relu mask/grad length mismatch");
-        let data = dy
-            .data()
-            .iter()
-            .zip(mask)
-            .map(|(&g, &m)| if m { g } else { 0.0 })
-            .collect();
-        Tensor::from_vec(data, dy.dims())
-    }
-
     fn forward_ws(&mut self, mut x: Tensor, train: bool, _ws: &mut Workspace) -> Tensor {
+        self.mask.clear();
         if train {
-            self.record_mask(&x);
+            self.mask.extend(x.data().iter().map(|&v| v > 0.0));
         }
         if !self.fused_upstream {
             for v in x.data_mut() {
@@ -79,14 +48,14 @@ impl Layer for Relu {
     }
 
     fn backward_ws(&mut self, mut dy: Tensor, _ws: &mut Workspace) -> Tensor {
-        let mask = self
-            .mask
-            .as_ref()
-            .expect("Relu::backward called without a cached forward");
-        assert_eq!(mask.len(), dy.numel(), "Relu mask/grad length mismatch");
+        assert_eq!(
+            self.mask.len(),
+            dy.numel(),
+            "Relu::backward called without a matching cached forward"
+        );
         // A select, not `if !m { *g = 0.0 }`: the mask is data-dependent,
         // so the branch mispredicts and blocks vectorisation.
-        for (g, &m) in dy.data_mut().iter_mut().zip(mask) {
+        for (g, &m) in dy.data_mut().iter_mut().zip(&self.mask) {
             *g = if m { *g } else { 0.0 };
         }
         dy
@@ -136,22 +105,27 @@ mod tests {
         let x = Tensor::from_vec(vec![-1.5, 0.0, -0.0, 2.0, 3.0, -4.0, 0.5, 1e-30], &[2, 4]);
         let dy = Tensor::from_vec(vec![-0.0, 1.0, -2.0, -0.0, -3.0, 0.25, 0.0, -7.0], &[2, 4]);
         let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        let mut plain = Relu::new();
-        plain.forward(&x, true);
-        let want = plain.backward(&dy);
+        // Hand-computed: dy where x > 0, +0.0 elsewhere. The masked -0.0
+        // becomes +0.0; the passed one keeps its sign.
+        let want = bits(&Tensor::from_vec(
+            vec![0.0, 0.0, 0.0, -0.0, -3.0, 0.0, 0.0, -7.0],
+            &[2, 4],
+        ));
+        assert_eq!(want[0], 0.0f32.to_bits());
+        assert_eq!(want[3], (-0.0f32).to_bits());
         for fused in [false, true] {
             let mut r = Relu::new();
             if fused {
                 r.set_fused_upstream();
             }
+            // A fresh workspace, then a warm one after a first step.
             let mut ws = Workspace::new();
-            let _ = r.forward_ws(x.clone(), true, &mut ws);
-            let got = r.backward_ws(dy.clone(), &mut ws);
-            assert_eq!(bits(&got), bits(&want), "fused upstream: {fused}");
+            for step in 0..2 {
+                let _ = r.forward_ws(x.clone(), true, &mut ws);
+                let got = r.backward_ws(dy.clone(), &mut ws);
+                assert_eq!(bits(&got), want, "fused upstream: {fused}, step {step}");
+            }
         }
-        // The masked -0.0 becomes +0.0; the passed one keeps its sign.
-        assert_eq!(bits(&want)[0], 0.0f32.to_bits());
-        assert_eq!(bits(&want)[3], (-0.0f32).to_bits());
     }
 
     #[test]

@@ -1,22 +1,21 @@
 //! 2-D convolution via im2col lowering, with a direct (implicit-GEMM)
 //! fast path for 3×3 stride-1 kernels.
 //!
-//! Both the plain and workspace entry points dispatch per call: when
-//! [`conv_direct::enabled`] and the geometry is 3×3 stride-1, forward and
-//! backward run `vc_tensor::conv_direct`'s fused kernels and never
-//! materialize the im2col column matrix; every other geometry takes the
-//! lowered route. Both paths are bit-identical by construction — see the
-//! `conv_direct` module docs for the FMA-chain argument and
-//! `ws_direct_path_matches_im2col_bitwise` below for the layer-level
-//! check — so the dispatch (and the runtime toggle) can never perturb a
-//! training trajectory.
+//! Forward and backward dispatch per call: when [`conv_direct::enabled`]
+//! and the geometry is 3×3 stride-1, they run `vc_tensor::conv_direct`'s
+//! fused kernels and never materialize the im2col column matrix; every
+//! other geometry takes the lowered route. Both routes are bit-identical
+//! by construction — see the `conv_direct` module docs for the FMA-chain
+//! argument and `ws_direct_path_matches_im2col_bitwise` below for the
+//! layer-level check — so the dispatch (and the runtime toggle) can never
+//! perturb a training trajectory.
 
 use crate::layer::Layer;
 use vc_tensor::conv_direct::{
     self, conv3x3_backward_dk_into, conv3x3_backward_dx_into, conv3x3_forward_into,
 };
 use vc_tensor::ops::{
-    col2im_into, im2col, im2col_into, matmul_a_bt_epi_into, matmul_at_b_epi_into, matmul_epi_into,
+    col2im_into, im2col_into, matmul_a_bt_epi_into, matmul_at_b_epi_into, matmul_epi_into,
     ConvGeom, Epilogue,
 };
 use vc_tensor::{NormalSampler, Tensor, Workspace};
@@ -150,24 +149,6 @@ impl Conv2d {
         }
     }
 
-    /// Test/inspection wrapper over [`Self::images_to_rows_into`].
-    #[cfg(test)]
-    fn images_to_rows(img: &Tensor) -> Tensor {
-        let dims = img.dims();
-        let (batch, ch, oh, ow) = (dims[0], dims[1], dims[2], dims[3]);
-        let mut out = vec![0.0f32; batch * oh * ow * ch];
-        Self::images_to_rows_into(img, &mut out);
-        Tensor::from_vec(out, &[batch * oh * ow, ch])
-    }
-
-    /// Test/inspection wrapper over [`Self::rows_to_images_into`].
-    #[cfg(test)]
-    fn rows_to_images(flat: &Tensor, batch: usize, out_ch: usize, oh: usize, ow: usize) -> Tensor {
-        let mut out = vec![0.0f32; batch * out_ch * oh * ow];
-        Self::rows_to_images_into(flat.data(), batch, out_ch, oh, ow, &mut out);
-        Tensor::from_vec(out, &[batch, out_ch, oh, ow])
-    }
-
     /// Bias (or fused bias+ReLU) epilogue for the forward GEMM.
     fn epilogue(&self) -> Epilogue<'_> {
         if self.fused_relu {
@@ -177,44 +158,10 @@ impl Conv2d {
         }
     }
 
-    /// Direct-path parameter gradients shared by [`Layer::backward`] and
-    /// the workspace backward: dK and dbias via the fused 3×3 kernel,
-    /// bit-identical to the im2col route (see `conv_direct`'s module docs).
-    /// Scratch is caller-provided so the workspace path stays
-    /// zero-allocation.
-    fn direct_param_grads(
-        &mut self,
-        dy: &Tensor,
-        x: &Tensor,
-        geom: ConvGeom,
-        dk_scratch: &mut [f32],
-        colsum: &mut [f32],
-    ) {
-        conv3x3_backward_dk_into(dy, x, geom, self.dkernel.data_mut(), dk_scratch);
-        // dbias += per-channel sums of dy. Each channel's chain runs over
-        // (batch, pixel) ascending — exactly row-ascending order over the
-        // `[rows, out_ch]` dy matrix, so this matches both `sum_axis0`
-        // (plain backward) and the ws path's column-sum loop bit for bit.
-        let ohw = geom.out_h() * geom.out_w();
-        let batch = dy.dims()[0];
-        let dyd = dy.data();
-        for (oc, s) in colsum.iter_mut().enumerate() {
-            for b in 0..batch {
-                let plane = &dyd[(b * self.out_ch + oc) * ohw..][..ohw];
-                for v in plane {
-                    *s += v;
-                }
-            }
-        }
-        for (d, s) in self.dbias.data_mut().iter_mut().zip(colsum.iter()) {
-            *d += s;
-        }
-    }
-
-    /// The parameter half of the workspace backward: accumulates dK and
-    /// dbias for the cached forward, then returns the output gradient in
-    /// the layout [`Self::input_grad_ws`] reads — image layout on the
-    /// direct path, `[rows, out_ch]` rows on the im2col path.
+    /// The parameter half of the backward: accumulates dK and dbias for
+    /// the cached forward, then returns the output gradient in the layout
+    /// [`Self::input_grad_ws`] reads — image layout on the direct path,
+    /// `[rows, out_ch]` rows on the im2col path.
     fn param_grads_ws(&mut self, dy: Tensor, ws: &mut Workspace) -> Tensor {
         let cache = self
             .cache
@@ -225,7 +172,23 @@ impl Conv2d {
                 let mut dk_scratch =
                     ws.take(conv_direct::dk_scratch_len(self.in_ch, self.out_ch, *geom));
                 let mut colsum = ws.take(self.out_ch);
-                self.direct_param_grads(&dy, x, *geom, &mut dk_scratch, &mut colsum);
+                conv3x3_backward_dk_into(&dy, x, *geom, self.dkernel.data_mut(), &mut dk_scratch);
+                // dbias += per-channel sums of dy. Each channel's chain runs
+                // over (batch, pixel) ascending — exactly row-ascending
+                // order over the `[rows, out_ch]` dy matrix, so this matches
+                // the im2col route's column-sum loop bit for bit.
+                let ohw = geom.out_h() * geom.out_w();
+                let batch = dy.dims()[0];
+                for (oc, s) in colsum.iter_mut().enumerate() {
+                    for b in 0..batch {
+                        for v in &dy.data()[(b * self.out_ch + oc) * ohw..][..ohw] {
+                            *s += v;
+                        }
+                    }
+                }
+                for (d, s) in self.dbias.data_mut().iter_mut().zip(&colsum) {
+                    *d += s;
+                }
                 ws.recycle(dk_scratch);
                 ws.recycle(colsum);
                 dy
@@ -242,9 +205,8 @@ impl Conv2d {
                     self.dkernel.data_mut(),
                     Epilogue::Accumulate,
                 );
-                // dbias += column sums of dy_rows, in `sum_axis0`'s
-                // accumulation order so both backward paths stay
-                // bit-identical.
+                // dbias += column sums of dy_rows: a zero-initialized
+                // partial sum, rows ascending.
                 let mut colsum = ws.take(self.out_ch);
                 for r in 0..rows {
                     let row = &dy_rows.data()[r * self.out_ch..(r + 1) * self.out_ch];
@@ -263,7 +225,7 @@ impl Conv2d {
         g
     }
 
-    /// The input-gradient half of the workspace backward, consuming what
+    /// The input-gradient half of the backward, consuming what
     /// [`Self::param_grads_ws`] returned: the fused 3×3 dx kernel on the
     /// direct path, `dcols = dy_rows · K` plus col2im on the im2col path.
     fn input_grad_ws(&self, g: Tensor, ws: &mut Workspace) -> Tensor {
@@ -297,93 +259,6 @@ impl Conv2d {
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let dims = x.dims();
-        assert_eq!(dims.len(), 4, "Conv2d expects [batch, ch, h, w]");
-        assert_eq!(dims[1], self.in_ch, "Conv2d channel mismatch");
-        let (batch, h, w) = (dims[0], dims[2], dims[3]);
-        let geom = self.geom_for(h, w);
-        let (oh, ow) = (geom.out_h(), geom.out_w());
-        if conv_direct::enabled() && conv_direct::supports(&geom) {
-            let mut y = vec![0.0f32; batch * self.out_ch * oh * ow];
-            let mut stage = vec![0.0f32; conv_direct::fwd_scratch_len(batch, self.in_ch, geom)];
-            conv3x3_forward_into(x, &self.kernel, geom, &mut y, self.epilogue(), &mut stage);
-            if train {
-                self.cache = Some(ConvCache::Input {
-                    x: x.clone(),
-                    geom,
-                    batch,
-                });
-            }
-            return Tensor::from_vec(y, &[batch, self.out_ch, oh, ow]);
-        }
-        let rows = batch * oh * ow;
-        let cols = im2col(x, self.in_ch, geom);
-        // [rows, patch] x [out_ch, patch]^T -> [rows, out_ch], bias fused
-        let mut flat = vec![0.0f32; rows * self.out_ch];
-        matmul_a_bt_epi_into(&cols, &self.kernel, &mut flat, self.epilogue());
-        let mut y = vec![0.0f32; batch * self.out_ch * oh * ow];
-        Self::rows_to_images_into(&flat, batch, self.out_ch, oh, ow, &mut y);
-        if train {
-            self.cache = Some(ConvCache::Cols { cols, geom, batch });
-        }
-        Tensor::from_vec(y, &[batch, self.out_ch, oh, ow])
-    }
-
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let cache = self
-            .cache
-            .take()
-            .expect("Conv2d::backward called without a cached forward");
-        match cache {
-            ConvCache::Input { x, geom, batch } => {
-                let mut dk_scratch =
-                    vec![0.0f32; conv_direct::dk_scratch_len(self.in_ch, self.out_ch, geom)];
-                let mut colsum = vec![0.0f32; self.out_ch];
-                let mut dx_scratch =
-                    vec![0.0f32; conv_direct::dx_scratch_len(batch, self.in_ch, self.out_ch)];
-                let mut dx = vec![0.0f32; batch * self.in_ch * geom.h * geom.w];
-                self.direct_param_grads(dy, &x, geom, &mut dk_scratch, &mut colsum);
-                conv3x3_backward_dx_into(
-                    dy,
-                    &self.kernel,
-                    self.in_ch,
-                    geom,
-                    &mut dx,
-                    &mut dx_scratch,
-                );
-                let dims = [batch, self.in_ch, geom.h, geom.w];
-                self.cache = Some(ConvCache::Input { x, geom, batch });
-                Tensor::from_vec(dx, &dims)
-            }
-            ConvCache::Cols { cols, geom, batch } => {
-                let (oh, ow) = (geom.out_h(), geom.out_w());
-                let rows = batch * oh * ow;
-                let patch = self.in_ch * self.kh * self.kw;
-                let mut dy_rows = vec![0.0f32; rows * self.out_ch];
-                Self::images_to_rows_into(dy, &mut dy_rows);
-                let dy_rows = Tensor::from_vec(dy_rows, &[rows, self.out_ch]);
-                // dK += dy_rows^T · cols -> [out_ch, patch]
-                matmul_at_b_epi_into(
-                    &dy_rows,
-                    &cols,
-                    self.dkernel.data_mut(),
-                    Epilogue::Accumulate,
-                );
-                self.dbias.add_assign(&dy_rows.sum_axis0());
-                // dcols = dy_rows · K -> [rows, patch]
-                let mut dcols = vec![0.0f32; rows * patch];
-                matmul_epi_into(&dy_rows, &self.kernel, &mut dcols, Epilogue::Store);
-                let dcols = Tensor::from_vec(dcols, &[rows, patch]);
-                let mut dx = vec![0.0f32; batch * self.in_ch * geom.h * geom.w];
-                col2im_into(&dcols, batch, self.in_ch, geom, &mut dx);
-                let dims = [batch, self.in_ch, geom.h, geom.w];
-                self.cache = Some(ConvCache::Cols { cols, geom, batch });
-                Tensor::from_vec(dx, &dims)
-            }
-        }
-    }
-
     fn forward_ws(&mut self, x: Tensor, train: bool, ws: &mut Workspace) -> Tensor {
         let dims = x.dims();
         assert_eq!(dims.len(), 4, "Conv2d expects [batch, ch, h, w]");
@@ -560,9 +435,11 @@ mod tests {
     fn row_image_permutations_are_inverse() {
         let mut s = NormalSampler::seed_from(34);
         let img = Tensor::randn(&[2, 3, 4, 5], 0.0, 1.0, &mut s);
-        let rows = Conv2d::images_to_rows(&img);
-        let back = Conv2d::rows_to_images(&rows, 2, 3, 4, 5);
-        assert_eq!(back.data(), img.data());
+        let mut rows = vec![0.0f32; img.numel()];
+        Conv2d::images_to_rows_into(&img, &mut rows);
+        let mut back = vec![0.0f32; img.numel()];
+        Conv2d::rows_to_images_into(&rows, 2, 3, 4, 5, &mut back);
+        assert_eq!(back, img.data());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use crate::layer::Layer;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use vc_tensor::Tensor;
+use vc_tensor::{Tensor, Workspace};
 
 /// Inverted dropout: during training each activation is zeroed with
 /// probability `p` and survivors are scaled by `1/(1-p)`, so inference is a
@@ -40,36 +40,36 @@ impl Dropout {
 }
 
 impl Layer for Dropout {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+    fn forward_ws(&mut self, mut x: Tensor, train: bool, ws: &mut Workspace) -> Tensor {
+        if let Some(old) = self.mask.take() {
+            ws.recycle(old);
+        }
         if !train || self.p == 0.0 {
-            self.mask = None;
-            return x.clone();
+            return x;
         }
         let keep = 1.0 - self.p;
         let scale = 1.0 / keep;
-        let mask: Vec<f32> = (0..x.numel())
-            .map(|_| {
-                if self.rng.gen::<f32>() < keep {
-                    scale
-                } else {
-                    0.0
-                }
-            })
-            .collect();
-        let data = x.data().iter().zip(&mask).map(|(&v, &m)| v * m).collect();
+        let mut mask = ws.take(x.numel());
+        for (m, v) in mask.iter_mut().zip(x.data_mut()) {
+            *m = if self.rng.gen::<f32>() < keep {
+                scale
+            } else {
+                0.0
+            };
+            *v *= *m;
+        }
         self.mask = Some(mask);
-        Tensor::from_vec(data, x.dims())
+        x
     }
 
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
-        match &self.mask {
-            None => dy.clone(),
-            Some(mask) => {
-                assert_eq!(mask.len(), dy.numel(), "Dropout mask/grad mismatch");
-                let data = dy.data().iter().zip(mask).map(|(&g, &m)| g * m).collect();
-                Tensor::from_vec(data, dy.dims())
+    fn backward_ws(&mut self, mut dy: Tensor, _ws: &mut Workspace) -> Tensor {
+        if let Some(mask) = &self.mask {
+            assert_eq!(mask.len(), dy.numel(), "Dropout mask/grad mismatch");
+            for (g, &m) in dy.data_mut().iter_mut().zip(mask) {
+                *g *= m;
             }
         }
+        dy
     }
 
     fn name(&self) -> &'static str {

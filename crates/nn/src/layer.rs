@@ -4,49 +4,56 @@ use vc_tensor::{Tensor, Workspace};
 
 /// A differentiable network component.
 ///
-/// Layers own their parameters *and* their gradients: `backward` accumulates
-/// into layer-local gradient buffers, and the model aggregates them into the
-/// flat vectors that the optimizers and the distributed schemes exchange.
+/// Layers own their parameters *and* their gradients: the backward pass
+/// accumulates into layer-local gradient buffers, and the model aggregates
+/// them into the flat vectors that the optimizers and the distributed
+/// schemes exchange.
 ///
 /// `Send` is required so entire models can be moved into rayon tasks — the
 /// simulated volunteer fleet trains one independent model replica per
 /// subtask, in parallel.
 ///
-/// ## Workspace path
+/// ## One path: the workspace
 ///
 /// [`forward_ws`](Layer::forward_ws) / [`backward_ws`](Layer::backward_ws)
-/// are the allocation-free variants the training hot loop uses: tensors move
-/// *by value* through the layer chain, each layer draws its output buffer
-/// from the replica's [`Workspace`] and recycles the buffers it consumed.
-/// The defaults fall back to the borrowing `forward`/`backward`, so custom
-/// layers stay correct without opting in; the layers on the paper-CNN hot
-/// path (conv, dense, relu, pooling, flatten) all override them. Both paths
-/// compute bit-identical values.
+/// are the layer's only implementation of its math. Tensors move *by
+/// value* through the layer chain: each layer draws its output buffer from
+/// the replica's [`Workspace`] (or writes in place) and recycles the
+/// buffers it consumed, so a warm training loop allocates nothing.
+/// [`forward`](Layer::forward) / [`backward`](Layer::backward) are
+/// convenience wrappers that clone their argument into a fresh workspace.
+///
+/// ## The training cache
+///
+/// A training forward (`train = true`) caches what the next backward
+/// reads. An inference forward (`train = false`) drops that cache: a
+/// backward after it panics until the next training forward. A layer whose
+/// backward reads no cache (e.g. inference-mode [`crate::Dropout`]) is the
+/// only exception.
 pub trait Layer: Send {
-    /// Computes the layer output. When `train` is true the layer may cache
-    /// activations for `backward` and use batch statistics (BatchNorm);
-    /// when false it must be a pure function of its parameters.
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor;
+    /// Computes the layer output, consuming the input tensor and recycling
+    /// its storage once no longer needed. When `train` is true the layer
+    /// may cache activations for the backward pass and use batch statistics
+    /// (BatchNorm); when false it must be a pure function of its parameters
+    /// and leaves no training cache behind.
+    fn forward_ws(&mut self, x: Tensor, train: bool, ws: &mut Workspace) -> Tensor;
 
-    /// Propagates the output gradient `dy` to an input gradient, and
-    /// accumulates parameter gradients into layer-local buffers. Must be
-    /// called after a `forward(.., true)` on the same input.
-    fn backward(&mut self, dy: &Tensor) -> Tensor;
+    /// Propagates the output gradient `dy` to an input gradient, consuming
+    /// `dy`, and accumulates parameter gradients into layer-local buffers.
+    /// Must follow a training [`forward_ws`](Layer::forward_ws) on the same
+    /// input.
+    fn backward_ws(&mut self, dy: Tensor, ws: &mut Workspace) -> Tensor;
 
-    /// Workspace variant of [`forward`](Layer::forward): consumes the input
-    /// tensor and recycles its storage once no longer needed.
-    fn forward_ws(&mut self, x: Tensor, train: bool, ws: &mut Workspace) -> Tensor {
-        let y = self.forward(&x, train);
-        ws.recycle(x.into_vec());
-        y
+    /// [`forward_ws`](Layer::forward_ws) on a copy of `x`, with a fresh
+    /// workspace.
+    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+        self.forward_ws(x.clone(), train, &mut Workspace::new())
     }
 
-    /// Workspace variant of [`backward`](Layer::backward): consumes the
-    /// output gradient and recycles its storage once no longer needed.
-    fn backward_ws(&mut self, dy: Tensor, ws: &mut Workspace) -> Tensor {
-        let dx = self.backward(&dy);
-        ws.recycle(dy.into_vec());
-        dx
+    /// [`backward_ws`](Layer::backward_ws) on a copy of `dy`, with a fresh
+    /// workspace.
+    fn backward(&mut self, dy: &Tensor) -> Tensor {
+        self.backward_ws(dy.clone(), &mut Workspace::new())
     }
 
     /// Parameter-only variant of [`backward_ws`](Layer::backward_ws):
@@ -118,18 +125,36 @@ pub trait Layer: Send {
 /// A boxed layer, as stored by [`crate::Sequential`].
 pub type BoxedLayer = Box<dyn Layer>;
 
+/// A copy of `t` in a buffer drawn from `ws`, for a layer that must both
+/// consume a tensor and keep reading it (a cache, a skip path).
+pub(crate) fn pooled_copy(t: &Tensor, ws: &mut Workspace) -> Tensor {
+    let mut buf = ws.take(t.numel());
+    buf.copy_from_slice(t.data());
+    Tensor::from_vec(buf, t.dims())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// A do-nothing layer to exercise trait defaults.
+    /// A do-nothing layer to exercise trait defaults: copies its input into
+    /// a pooled buffer and recycles the consumed one.
     struct Identity;
-    impl Layer for Identity {
-        fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
-            x.clone()
+
+    impl Identity {
+        fn copy(t: Tensor, ws: &mut Workspace) -> Tensor {
+            let out = pooled_copy(&t, ws);
+            ws.recycle(t.into_vec());
+            out
         }
-        fn backward(&mut self, dy: &Tensor) -> Tensor {
-            dy.clone()
+    }
+
+    impl Layer for Identity {
+        fn forward_ws(&mut self, x: Tensor, _train: bool, ws: &mut Workspace) -> Tensor {
+            Self::copy(x, ws)
+        }
+        fn backward_ws(&mut self, dy: Tensor, ws: &mut Workspace) -> Tensor {
+            Self::copy(dy, ws)
         }
         fn name(&self) -> &'static str {
             "identity"
@@ -157,6 +182,7 @@ mod tests {
         let x = Tensor::ones(&[2, 2]);
         let y = l.forward(&x, false);
         assert_eq!(y.data(), x.data());
+        assert_eq!(l.backward(&y).data(), x.data());
         assert_eq!(l.name(), "identity");
     }
 
@@ -170,13 +196,60 @@ mod tests {
         let dy = l.backward_ws(y, &mut ws);
         assert_eq!(dy.dims(), &[2, 3]);
         let pooled = ws.pooled();
+        let (takes, _) = ws.stats();
         l.backward_params_ws(dy, &mut ws);
+        let taken = (ws.stats().0 - takes) as usize;
         assert_eq!(
-            ws.pooled(),
+            ws.pooled() + taken,
             pooled + 2,
             "both the consumed dy and the dropped dx must be recycled"
         );
         assert!(!l.enable_relu_fusion());
         assert!(!l.is_relu());
+    }
+
+    /// The trait's cache rule, for every layer that keeps one: after a
+    /// training forward, an inference forward drops the cache, so the
+    /// following backward panics.
+    #[test]
+    fn inference_forward_drops_the_training_cache() {
+        use crate::{
+            AvgPoolGlobal, BatchNorm, Conv2d, Dense, Flatten, LeakyRelu, MaxPool2, Relu, Residual,
+            Sequential, Sigmoid, Tanh,
+        };
+        use vc_tensor::NormalSampler;
+        let mut s = NormalSampler::seed_from(1);
+        let img = || Tensor::ones(&[2, 2, 4, 4]);
+        let cases: Vec<(BoxedLayer, Tensor)> = vec![
+            (Box::new(Conv2d::new(2, 2, 3, 1, 1, &mut s)), img()),
+            (Box::new(Conv2d::new(2, 2, 3, 2, 1, &mut s)), img()),
+            (Box::new(Dense::new(3, 2, &mut s)), Tensor::ones(&[2, 3])),
+            (Box::new(Relu::new()), img()),
+            (Box::new(MaxPool2::new()), img()),
+            (Box::new(AvgPoolGlobal::new()), img()),
+            (Box::new(Flatten::new()), img()),
+            (Box::new(BatchNorm::new(2, 0.9)), img()),
+            (Box::new(Sigmoid::new()), img()),
+            (Box::new(Tanh::new()), img()),
+            (Box::new(LeakyRelu::new(0.1)), img()),
+            (
+                Box::new(Residual::new(Sequential::new().push(Relu::new()))),
+                img(),
+            ),
+        ];
+        for (mut layer, x) in cases {
+            let y = layer.forward(&x, true);
+            let _ = layer.backward(&Tensor::ones(y.dims()));
+            let y = layer.forward(&x, false);
+            let dy = Tensor::ones(y.dims());
+            let panicked =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| layer.backward(&dy)))
+                    .is_err();
+            assert!(
+                panicked,
+                "{}: backward after inference must panic",
+                layer.name()
+            );
+        }
     }
 }

@@ -8,7 +8,9 @@
 //! flat parameter vectors between clients and parameter servers. This crate
 //! therefore provides exactly what the distributed layer needs:
 //!
-//! * [`Layer`] — forward/backward passes with layer-owned gradient storage;
+//! * [`Layer`] — one forward and one backward per layer, moving tensors by
+//!   value through a reusable [`vc_tensor::Workspace`] (zero allocations in
+//!   a warm training loop), with layer-owned gradient storage;
 //! * concrete layers: [`Dense`], [`Conv2d`], [`MaxPool2`], [`AvgPoolGlobal`],
 //!   [`Relu`], [`BatchNorm`], [`Flatten`], [`Residual`] blocks;
 //! * [`Sequential`] — a model as a layer pipeline, with flat-parameter

@@ -45,31 +45,10 @@ impl SoftmaxCrossEntropy {
         total / b as f32
     }
 
-    /// Loss and the gradient w.r.t. the logits, in one pass.
-    pub fn loss_and_grad(logits: &Tensor, labels: &[usize]) -> (f32, Tensor) {
-        let mut probs = Self::softmax(logits);
-        let c = logits.dims()[1];
-        let b = labels.len();
-        assert_eq!(logits.dims()[0], b, "batch/labels length mismatch");
-        let mut total = 0.0;
-        let inv_b = 1.0 / b as f32;
-        for (i, &y) in labels.iter().enumerate() {
-            assert!(y < c, "label {y} out of range for {c} classes");
-            let p = probs.data()[i * c + y].max(1e-12);
-            total -= p.ln();
-            // grad = (p - onehot) / batch
-            probs.data_mut()[i * c + y] -= 1.0;
-        }
-        for g in probs.data_mut() {
-            *g *= inv_b;
-        }
-        (total * inv_b, probs)
-    }
-
-    /// [`Self::loss_and_grad`] consuming the logits: the softmax and the
-    /// gradient are computed in place in the logits' own buffer, so the hot
-    /// loop allocates nothing. Bit-identical to the borrowing variant (same
-    /// operations in the same order, just a different destination buffer).
+    /// Loss and the gradient w.r.t. the logits, in one pass, consuming the
+    /// logits: the softmax and the gradient `(softmax(x) - onehot(y)) /
+    /// batch` are computed in place in the logits' own buffer, so the hot
+    /// loop allocates nothing.
     pub fn loss_and_grad_ws(mut logits: Tensor, labels: &[usize]) -> (f32, Tensor) {
         assert_eq!(logits.dims().len(), 2, "softmax expects [batch, classes]");
         let (b, c) = (logits.dims()[0], logits.dims()[1]);
@@ -148,7 +127,7 @@ mod tests {
     fn grad_matches_finite_difference() {
         let logits = Tensor::from_vec(vec![0.5, -0.2, 0.1, 1.0, 0.0, -1.0], &[2, 3]);
         let labels = [2usize, 0];
-        let (_, grad) = SoftmaxCrossEntropy::loss_and_grad(&logits, &labels);
+        let (_, grad) = SoftmaxCrossEntropy::loss_and_grad_ws(logits.clone(), &labels);
         let eps = 1e-3f32;
         for i in 0..logits.numel() {
             let mut lp = logits.clone();
@@ -169,7 +148,7 @@ mod tests {
     #[test]
     fn grad_rows_sum_to_zero() {
         let logits = Tensor::from_vec(vec![0.3, 0.1, -0.5, 0.9, 2.0, -2.0], &[2, 3]);
-        let (_, grad) = SoftmaxCrossEntropy::loss_and_grad(&logits, &[0, 1]);
+        let (_, grad) = SoftmaxCrossEntropy::loss_and_grad_ws(logits, &[0, 1]);
         for i in 0..2 {
             let s: f32 = grad.data()[i * 3..(i + 1) * 3].iter().sum();
             assert!(s.abs() < 1e-6);
@@ -186,9 +165,18 @@ mod tests {
     fn consuming_variant_is_bit_identical() {
         let logits = Tensor::from_vec(vec![0.5, -0.2, 0.1, 1.0, 0.0, -1.0], &[2, 3]);
         let labels = [2usize, 0];
-        let (l_ref, g_ref) = SoftmaxCrossEntropy::loss_and_grad(&logits, &labels);
+        // Reference: the textbook formula on the separately computed
+        // `softmax` — loss `-mean ln p_y`, grad `(p - onehot) / batch`.
+        let mut g_ref = SoftmaxCrossEntropy::softmax(&logits);
+        let inv_b = 1.0 / labels.len() as f32;
+        let mut total = 0.0f32;
+        for (i, &y) in labels.iter().enumerate() {
+            total -= g_ref.data()[i * 3 + y].max(1e-12).ln();
+            g_ref.data_mut()[i * 3 + y] -= 1.0;
+        }
+        g_ref.map_inplace(|g| g * inv_b);
         let (l_ws, g_ws) = SoftmaxCrossEntropy::loss_and_grad_ws(logits, &labels);
-        assert_eq!(l_ref.to_bits(), l_ws.to_bits());
+        assert_eq!((total * inv_b).to_bits(), l_ws.to_bits());
         assert_eq!(g_ref.data(), g_ws.data());
         assert_eq!(g_ref.dims(), g_ws.dims());
     }

@@ -2,7 +2,7 @@
 
 use crate::loss::SoftmaxCrossEntropy;
 use crate::model::Sequential;
-use vc_tensor::Tensor;
+use vc_tensor::{Tensor, Workspace};
 
 /// Top-1 accuracy of logits `[batch, classes]` against integer labels.
 pub fn accuracy(logits: &Tensor, labels: &[usize]) -> f32 {
@@ -30,6 +30,7 @@ pub fn accuracy(logits: &Tensor, labels: &[usize]) -> f32 {
 
 /// Evaluates a model over a dataset in mini-batches, returning
 /// `(mean loss, accuracy)`. `images` is `[n, ...]`, flattened per batch.
+/// The inference forward runs on one workspace reused across batches.
 pub fn evaluate(
     model: &mut Sequential,
     images: &Tensor,
@@ -38,25 +39,26 @@ pub fn evaluate(
 ) -> (f32, f32) {
     let n = images.dims()[0];
     assert_eq!(n, labels.len());
+    assert!(batch_size > 0, "batch_size must be positive");
     if n == 0 {
         return (0.0, 0.0);
     }
     let sample_len: usize = images.dims()[1..].iter().product();
+    let mut dims = images.dims().to_vec();
+    let mut ws = Workspace::new();
     let mut total_loss = 0.0;
     let mut total_correct = 0.0;
     let mut start = 0;
     while start < n {
         let end = (start + batch_size).min(n);
         let bs = end - start;
-        let mut dims = vec![bs];
-        dims.extend_from_slice(&images.dims()[1..]);
-        let batch = Tensor::from_vec(
-            images.data()[start * sample_len..end * sample_len].to_vec(),
-            &dims,
-        );
-        let logits = model.predict(&batch);
+        dims[0] = bs;
+        let mut batch = ws.take(bs * sample_len);
+        batch.copy_from_slice(&images.data()[start * sample_len..end * sample_len]);
+        let logits = model.forward_pipeline_ws(Tensor::from_vec(batch, &dims), false, &mut ws);
         total_loss += SoftmaxCrossEntropy::loss(&logits, &labels[start..end]) * bs as f32;
         total_correct += accuracy(&logits, &labels[start..end]) * bs as f32;
+        ws.recycle(logits.into_vec());
         start = end;
     }
     (total_loss / n as f32, total_correct / n as f32)
@@ -109,6 +111,15 @@ mod tests {
         let (l3, a3) = evaluate(&mut m, &images, &labels, 3);
         assert!((l1 - l3).abs() < 1e-5);
         assert!((a1 - a3).abs() < 1e-6);
+    }
+
+    #[test]
+    #[should_panic(expected = "batch_size must be positive")]
+    fn evaluate_rejects_zero_batch_size() {
+        let mut s = NormalSampler::seed_from(2);
+        let mut m = Sequential::new().push(Dense::new(4, 3, &mut s));
+        let images = Tensor::randn(&[5, 4], 0.0, 1.0, &mut s);
+        evaluate(&mut m, &images, &[0, 1, 2, 0, 1], 0);
     }
 
     #[test]

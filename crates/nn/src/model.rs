@@ -108,11 +108,6 @@ impl Sequential {
         }
     }
 
-    /// Runs the pipeline in inference mode.
-    pub fn predict(&mut self, x: &Tensor) -> Tensor {
-        Layer::forward(self, x, false)
-    }
-
     /// Fuses each ReLU that directly follows a fusion-capable layer (dense,
     /// conv) into that layer's GEMM epilogue. Bit-exact: the downstream
     /// values and masks are unchanged (`relu(x) > 0 ⇔ x > 0`); the fused
@@ -130,22 +125,13 @@ impl Sequential {
         }
     }
 
-    /// Workspace-path forward over the whole pipeline (training-mode
-    /// tensors move by value; buffers recycle through `ws`).
+    /// Forward over the whole pipeline: tensors move by value and buffers
+    /// recycle through `ws`. The same as [`Layer::forward_ws`], callable
+    /// without the trait in scope.
     pub fn forward_pipeline_ws(&mut self, x: Tensor, train: bool, ws: &mut Workspace) -> Tensor {
         let mut cur = x;
         for l in &mut self.layers {
             cur = l.forward_ws(cur, train, ws);
-        }
-        cur
-    }
-
-    /// Workspace-path backward over the whole pipeline; the returned input
-    /// gradient's buffer also comes from `ws`.
-    pub fn backward_pipeline_ws(&mut self, dy: Tensor, ws: &mut Workspace) -> Tensor {
-        let mut cur = dy;
-        for l in self.layers.iter_mut().rev() {
-            cur = l.backward_ws(cur, ws);
         }
         cur
     }
@@ -167,36 +153,18 @@ impl Default for Sequential {
 }
 
 impl Layer for Sequential {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        // Feed the borrowed input straight to the first layer instead of
-        // cloning it at entry; only layer outputs move through the chain.
-        let Some((first, rest)) = self.layers.split_first_mut() else {
-            return x.clone();
-        };
-        let mut cur = first.forward(x, train);
-        for l in rest {
-            cur = l.forward(&cur, train);
-        }
-        cur
-    }
-
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let Some((last, front)) = self.layers.split_last_mut() else {
-            return dy.clone();
-        };
-        let mut cur = last.backward(dy);
-        for l in front.iter_mut().rev() {
-            cur = l.backward(&cur);
-        }
-        cur
-    }
-
     fn forward_ws(&mut self, x: Tensor, train: bool, ws: &mut Workspace) -> Tensor {
         self.forward_pipeline_ws(x, train, ws)
     }
 
+    /// Backward over the whole pipeline; the returned input gradient's
+    /// buffer also comes from `ws`.
     fn backward_ws(&mut self, dy: Tensor, ws: &mut Workspace) -> Tensor {
-        self.backward_pipeline_ws(dy, ws)
+        let mut cur = dy;
+        for l in self.layers.iter_mut().rev() {
+            cur = l.backward_ws(cur, ws);
+        }
+        cur
     }
 
     /// Backward for a trainer that reads only parameter gradients: the
@@ -204,7 +172,7 @@ impl Layer for Sequential {
     /// parameters, its parameter-only backward there, and nothing below it
     /// — the parameter-free layers under it (e.g. a leading `Flatten`)
     /// have no gradient to accumulate. `grads_flat()` afterwards is
-    /// bitwise what [`Self::backward_pipeline_ws`] leaves.
+    /// bitwise what [`Layer::backward_ws`] leaves.
     fn backward_params_ws(&mut self, dy: Tensor, ws: &mut Workspace) {
         let Some(first) = self.layers.iter().position(|l| l.param_len() > 0) else {
             ws.recycle(dy.into_vec());
@@ -277,7 +245,7 @@ mod tests {
     #[test]
     fn forward_shapes_compose() {
         let mut m = tiny_model(1);
-        let y = m.predict(&Tensor::zeros(&[5, 4]));
+        let y = m.forward(&Tensor::zeros(&[5, 4]), false);
         assert_eq!(y.dims(), &[5, 3]);
         assert_eq!(m.out_dims(&[5, 4]), vec![5, 3]);
     }
@@ -300,7 +268,7 @@ mod tests {
         b.set_params_flat(&a.params_flat());
         let mut s = NormalSampler::seed_from(6);
         let x = Tensor::randn(&[3, 4], 0.0, 1.0, &mut s);
-        assert_eq!(a.predict(&x).data(), b.predict(&x).data());
+        assert_eq!(a.forward(&x, false).data(), b.forward(&x, false).data());
     }
 
     #[test]
@@ -319,7 +287,7 @@ mod tests {
         let labels: Vec<usize> = (0..16).map(|i| i % 3).collect();
 
         let logits = m.forward(&x, true);
-        let (loss0, dlogits) = SoftmaxCrossEntropy::loss_and_grad(&logits, &labels);
+        let (loss0, dlogits) = SoftmaxCrossEntropy::loss_and_grad_ws(logits, &labels);
         m.zero_grads_all();
         m.backward(&dlogits);
         let mut p = m.params_flat();
@@ -380,26 +348,27 @@ mod tests {
         let labels = [1usize, 2];
         let mut ws = Workspace::new();
 
-        // Plain borrowing path on the unfused model.
+        // Reference: the unfused model through the `forward` / `backward`
+        // wrappers, each on a fresh workspace.
         let logits_p = plain.forward(&x, true);
-        let (loss_p, dy_p) = SoftmaxCrossEntropy::loss_and_grad(&logits_p, &labels);
+        let (loss_p, dy_p) = SoftmaxCrossEntropy::loss_and_grad_ws(logits_p.clone(), &labels);
         plain.zero_grads_all();
         plain.backward(&dy_p);
 
-        // Workspace path on the fused model must be bit-identical.
+        // The fused model on one reused workspace must be bit-identical.
         let logits_w = fused.forward_pipeline_ws(x.clone(), true, &mut ws);
         assert_eq!(logits_p.data(), logits_w.data());
         let (loss_w, dy_w) = SoftmaxCrossEntropy::loss_and_grad_ws(logits_w, &labels);
         assert_eq!(loss_p.to_bits(), loss_w.to_bits());
         fused.zero_grads_all();
-        let _ = fused.backward_pipeline_ws(dy_w, &mut ws);
+        let _ = fused.backward_ws(dy_w, &mut ws);
         assert_eq!(plain.grads_flat(), fused.grads_flat());
 
         // Steady state: a second ws step must not miss the buffer pool.
         let (_, misses_warm) = ws.stats();
         let logits2 = fused.forward_pipeline_ws(x.clone(), true, &mut ws);
         let (_, dy2) = SoftmaxCrossEntropy::loss_and_grad_ws(logits2, &labels);
-        let _ = fused.backward_pipeline_ws(dy2, &mut ws);
+        let _ = fused.backward_ws(dy2, &mut ws);
         let (_, misses_steady) = ws.stats();
         assert_eq!(misses_warm, misses_steady, "steady-state step allocated");
     }
@@ -429,7 +398,7 @@ mod tests {
             let logits = full.forward_pipeline_ws(x.clone(), true, &mut ws_full);
             let (_, dy) = SoftmaxCrossEntropy::loss_and_grad_ws(logits, &labels);
             full.zero_grads_all();
-            let dx = full.backward_pipeline_ws(dy, &mut ws_full);
+            let dx = full.backward_ws(dy, &mut ws_full);
             ws_full.recycle(dx.into_vec());
 
             let logits = params_only.forward_pipeline_ws(x.clone(), true, &mut ws_params);
@@ -482,6 +451,9 @@ mod tests {
         fused.fuse_relu();
         let mut s = NormalSampler::seed_from(52);
         let x = Tensor::randn(&[3, 4], 0.0, 1.0, &mut s);
-        assert_eq!(plain.predict(&x).data(), fused.predict(&x).data());
+        assert_eq!(
+            plain.forward(&x, false).data(),
+            fused.forward(&x, false).data()
+        );
     }
 }

@@ -1,7 +1,7 @@
 //! Batch normalization.
 
 use crate::layer::Layer;
-use vc_tensor::Tensor;
+use vc_tensor::{Shape, Tensor, Workspace};
 
 /// Numerical floor added to the variance before taking the square root.
 const BN_EPS: f32 = 1e-5;
@@ -30,7 +30,7 @@ pub struct BatchNorm {
 struct BnCache {
     x_hat: Tensor,
     inv_std: Vec<f32>,
-    in_dims: Vec<usize>,
+    in_shape: Shape,
 }
 
 impl BatchNorm {
@@ -77,20 +77,27 @@ impl BatchNorm {
 }
 
 impl Layer for BatchNorm {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let dims = x.dims().to_vec();
-        let (b, ch, sp) = Self::plane_geometry(&dims);
+    fn forward_ws(&mut self, mut x: Tensor, train: bool, ws: &mut Workspace) -> Tensor {
+        let in_shape = *x.shape();
+        let dims = in_shape.dims();
+        let (b, ch, sp) = Self::plane_geometry(dims);
         assert_eq!(ch, self.ch, "BatchNorm channel mismatch");
         let n = (b * sp) as f32;
+        // Recycle last step's cache before taking, so one warm-up step is
+        // enough to make the pool self-sufficient.
+        if let Some(prev) = self.cache.take() {
+            ws.recycle(prev.x_hat.into_vec());
+            ws.recycle(prev.inv_std);
+        }
 
-        let (mean, var) = if train {
-            let mut mean = vec![0.0f32; ch];
-            Self::reduce_per_channel(x.data(), &dims, |c, v| mean[c] += v);
+        let mut mean = ws.take(ch);
+        let mut var = ws.take(ch);
+        if train {
+            Self::reduce_per_channel(x.data(), dims, |c, v| mean[c] += v);
             for m in &mut mean {
                 *m /= n;
             }
-            let mut var = vec![0.0f32; ch];
-            Self::reduce_per_channel(x.data(), &dims, |c, v| {
+            Self::reduce_per_channel(x.data(), dims, |c, v| {
                 var[c] += (v - mean[c]) * (v - mean[c])
             });
             for v in &mut var {
@@ -103,18 +110,18 @@ impl Layer for BatchNorm {
             for (rv, &v) in self.running_var.data_mut().iter_mut().zip(&var) {
                 *rv = self.momentum * *rv + (1.0 - self.momentum) * v;
             }
-            (mean, var)
         } else {
-            (
-                self.running_mean.data().to_vec(),
-                self.running_var.data().to_vec(),
-            )
-        };
+            mean.copy_from_slice(self.running_mean.data());
+            var.copy_from_slice(self.running_var.data());
+        }
 
-        let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + BN_EPS).sqrt()).collect();
-        let src = x.data();
-        let mut x_hat = vec![0.0f32; src.len()];
-        let mut out = vec![0.0f32; src.len()];
+        let mut inv_std = ws.take(ch);
+        for (s, &v) in inv_std.iter_mut().zip(&var) {
+            *s = 1.0 / (v + BN_EPS).sqrt();
+        }
+        // Normalize in place: each output element reads only its own input.
+        let mut x_hat = ws.take(x.numel());
+        let src = x.data_mut();
         for bi in 0..b {
             for c in 0..ch {
                 let base = (bi * ch + c) * sp;
@@ -123,34 +130,39 @@ impl Layer for BatchNorm {
                 for s in 0..sp {
                     let xh = (src[base + s] - mean[c]) * inv_std[c];
                     x_hat[base + s] = xh;
-                    out[base + s] = g * xh + be;
+                    src[base + s] = g * xh + be;
                 }
             }
         }
+        ws.recycle(mean);
+        ws.recycle(var);
         if train {
             self.cache = Some(BnCache {
-                x_hat: Tensor::from_vec(x_hat, &dims),
+                x_hat: Tensor::from_vec(x_hat, dims),
                 inv_std,
-                in_dims: dims.clone(),
+                in_shape,
             });
+        } else {
+            ws.recycle(x_hat);
+            ws.recycle(inv_std);
         }
-        Tensor::from_vec(out, &dims)
+        x
     }
 
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
+    fn backward_ws(&mut self, mut dy: Tensor, ws: &mut Workspace) -> Tensor {
         let cache = self
             .cache
             .as_ref()
             .expect("BatchNorm::backward called without a cached forward");
-        let dims = &cache.in_dims;
-        let (b, ch, sp) = Self::plane_geometry(dims);
+        assert_eq!(dy.dims(), cache.in_shape.dims(), "BatchNorm grad shape");
+        let (b, ch, sp) = Self::plane_geometry(cache.in_shape.dims());
         let n = (b * sp) as f32;
-        let dyd = dy.data();
         let xh = cache.x_hat.data();
 
         // Per-channel sums needed by the closed-form gradient.
-        let mut sum_dy = vec![0.0f32; ch];
-        let mut sum_dy_xh = vec![0.0f32; ch];
+        let mut sum_dy = ws.take(ch);
+        let mut sum_dy_xh = ws.take(ch);
+        let dyd = dy.data_mut();
         for bi in 0..b {
             for c in 0..ch {
                 let base = (bi * ch + c) * sp;
@@ -165,7 +177,7 @@ impl Layer for BatchNorm {
             self.dgamma.data_mut()[c] += sum_dy_xh[c];
         }
 
-        let mut dx = vec![0.0f32; dyd.len()];
+        // dx in place: each element reads only its own dy.
         for bi in 0..b {
             for c in 0..ch {
                 let base = (bi * ch + c) * sp;
@@ -173,11 +185,13 @@ impl Layer for BatchNorm {
                 let k = g * cache.inv_std[c];
                 for s in 0..sp {
                     let i = base + s;
-                    dx[i] = k * (dyd[i] - sum_dy[c] / n - xh[i] * sum_dy_xh[c] / n);
+                    dyd[i] = k * (dyd[i] - sum_dy[c] / n - xh[i] * sum_dy_xh[c] / n);
                 }
             }
         }
-        Tensor::from_vec(dx, dims)
+        ws.recycle(sum_dy);
+        ws.recycle(sum_dy_xh);
+        dy
     }
 
     fn param_len(&self) -> usize {

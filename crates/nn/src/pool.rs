@@ -87,38 +87,13 @@ impl Default for MaxPool2 {
 }
 
 impl Layer for MaxPool2 {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let (b, c, h, w) = Self::checked_dims(x);
-        let (oh, ow) = (h / 2, w / 2);
-        let mut out = vec![0.0f32; b * c * oh * ow];
-        if train {
-            Self::run(x.data(), b, c, h, w, &mut out, Some(&mut self.argmax));
-            self.in_shape = Some(*x.shape());
-        } else {
-            Self::run(x.data(), b, c, h, w, &mut out, None);
-        }
-        Tensor::from_vec(out, &[b, c, oh, ow])
-    }
-
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let in_shape = self
-            .in_shape
-            .expect("MaxPool2::backward called without a cached forward");
-        let mut dx = vec![0.0f32; in_shape.numel()];
-        self.scatter_backward(dy, &mut dx);
-        Tensor::from_vec(dx, in_shape.dims())
-    }
-
     fn forward_ws(&mut self, x: Tensor, train: bool, ws: &mut Workspace) -> Tensor {
         let (b, c, h, w) = Self::checked_dims(&x);
         let (oh, ow) = (h / 2, w / 2);
         let mut out = ws.take(b * c * oh * ow);
-        if train {
-            Self::run(x.data(), b, c, h, w, &mut out, Some(&mut self.argmax));
-            self.in_shape = Some(*x.shape());
-        } else {
-            Self::run(x.data(), b, c, h, w, &mut out, None);
-        }
+        let arg = train.then_some(&mut self.argmax);
+        Self::run(x.data(), b, c, h, w, &mut out, arg);
+        self.in_shape = train.then(|| *x.shape());
         ws.recycle(x.into_vec());
         Tensor::from_vec(out, &[b, c, oh, ow])
     }
@@ -183,37 +158,13 @@ impl Default for AvgPoolGlobal {
 }
 
 impl Layer for AvgPoolGlobal {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let dims = x.dims();
-        assert_eq!(dims.len(), 4, "AvgPoolGlobal expects [batch, ch, h, w]");
-        let (b, c) = (dims[0], dims[1]);
-        let mut out = vec![0.0f32; b * c];
-        Self::mean_planes(x, &mut out);
-        if train {
-            self.in_shape = Some(*x.shape());
-        }
-        Tensor::from_vec(out, &[b, c])
-    }
-
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let in_shape = self
-            .in_shape
-            .expect("AvgPoolGlobal::backward called without a cached forward");
-        let dims = in_shape.dims();
-        let mut dx = vec![0.0f32; in_shape.numel()];
-        Self::spread_backward(dy, dims[2], dims[3], &mut dx);
-        Tensor::from_vec(dx, dims)
-    }
-
     fn forward_ws(&mut self, x: Tensor, train: bool, ws: &mut Workspace) -> Tensor {
         let dims = x.dims();
         assert_eq!(dims.len(), 4, "AvgPoolGlobal expects [batch, ch, h, w]");
         let (b, c) = (dims[0], dims[1]);
         let mut out = ws.take(b * c);
         Self::mean_planes(&x, &mut out);
-        if train {
-            self.in_shape = Some(*x.shape());
-        }
+        self.in_shape = train.then(|| *x.shape());
         ws.recycle(x.into_vec());
         Tensor::from_vec(out, &[b, c])
     }
@@ -222,11 +173,9 @@ impl Layer for AvgPoolGlobal {
         let in_shape = self
             .in_shape
             .expect("AvgPoolGlobal::backward called without a cached forward");
+        let dims = in_shape.dims();
         let mut dx = ws.take(in_shape.numel());
-        {
-            let dims = in_shape.dims();
-            Self::spread_backward(&dy, dims[2], dims[3], &mut dx);
-        }
+        Self::spread_backward(&dy, dims[2], dims[3], &mut dx);
         ws.recycle(dy.into_vec());
         Tensor::from_vec(dx, in_shape.dims())
     }
@@ -260,32 +209,12 @@ impl Default for Flatten {
 }
 
 impl Layer for Flatten {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let dims = x.dims();
-        assert!(dims.len() >= 2, "Flatten expects a batch axis");
-        let batch = dims[0];
-        let rest: usize = dims[1..].iter().product();
-        if train {
-            self.in_shape = Some(*x.shape());
-        }
-        x.clone().reshape(&[batch, rest])
-    }
-
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let in_shape = self
-            .in_shape
-            .expect("Flatten::backward called without a cached forward");
-        dy.clone().reshape(in_shape.dims())
-    }
-
     fn forward_ws(&mut self, x: Tensor, train: bool, _ws: &mut Workspace) -> Tensor {
         let dims = x.dims();
         assert!(dims.len() >= 2, "Flatten expects a batch axis");
         let batch = dims[0];
         let rest: usize = dims[1..].iter().product();
-        if train {
-            self.in_shape = Some(*x.shape());
-        }
+        self.in_shape = train.then(|| *x.shape());
         // Reshape of an owned tensor moves the buffer: no copy, no alloc.
         x.reshape(&[batch, rest])
     }
@@ -398,35 +327,41 @@ mod tests {
         assert_eq!(dx.dims(), &[2, 3, 4]);
     }
 
+    /// Runs `make()`'s layer once on a fresh workspace (the `forward` /
+    /// `backward` wrappers) and once on a layer that has already run a
+    /// step on a warm pool of recycled garbage; both must agree bit for
+    /// bit. Returns the warm layer's input gradient.
+    fn warm_step_matches_fresh<L: Layer>(make: impl Fn() -> L, x: &Tensor, dy: &Tensor) -> Tensor {
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut fresh = make();
+        let y_ref = fresh.forward(x, true);
+        let dx_ref = fresh.backward(dy);
+
+        let mut warm = make();
+        let mut ws = Workspace::new();
+        let y0 = warm.forward_ws(x.map(|v| -2.0 * v), true, &mut ws);
+        ws.recycle(y0.into_vec());
+        let dx0 = warm.backward_ws(dy.map(|v| v + 3.0), &mut ws);
+        ws.recycle(dx0.into_vec());
+        let y = warm.forward_ws(x.clone(), true, &mut ws);
+        let dx = warm.backward_ws(dy.clone(), &mut ws);
+        assert_eq!(y.dims(), y_ref.dims(), "{}", warm.name());
+        assert_eq!(bits(&y), bits(&y_ref), "{}", warm.name());
+        assert_eq!(dx.dims(), dx_ref.dims(), "{}", warm.name());
+        assert_eq!(bits(&dx), bits(&dx_ref), "{}", warm.name());
+        dx
+    }
+
     #[test]
     fn ws_paths_match_plain_paths() {
         let mut s = NormalSampler::seed_from(5);
         let x = Tensor::randn(&[2, 3, 4, 4], 0.0, 1.0, &mut s);
         let dy_small = Tensor::randn(&[2, 3, 2, 2], 0.0, 1.0, &mut s);
-        let mut ws = Workspace::new();
-
-        let mut p = MaxPool2::new();
-        let y_plain = p.forward(&x, true);
-        let dx_plain = p.backward(&dy_small);
-        let y_ws = p.forward_ws(x.clone(), true, &mut ws);
-        let dx_ws = p.backward_ws(dy_small.clone(), &mut ws);
-        assert_eq!(y_plain.data(), y_ws.data());
-        assert_eq!(dx_plain.data(), dx_ws.data());
-
-        let mut a = AvgPoolGlobal::new();
         let dy_flat = Tensor::randn(&[2, 3], 0.0, 1.0, &mut s);
-        let y_plain = a.forward(&x, true);
-        let dx_plain = a.backward(&dy_flat);
-        let y_ws = a.forward_ws(x.clone(), true, &mut ws);
-        let dx_ws = a.backward_ws(dy_flat.clone(), &mut ws);
-        assert_eq!(y_plain.data(), y_ws.data());
-        assert_eq!(dx_plain.data(), dx_ws.data());
-
-        let mut f = Flatten::new();
-        let y_ws = f.forward_ws(x.clone(), true, &mut ws);
-        assert_eq!(y_ws.dims(), &[2, 48]);
-        let dx_ws = f.backward_ws(y_ws, &mut ws);
-        assert_eq!(dx_ws.dims(), &[2, 3, 4, 4]);
+        warm_step_matches_fresh(MaxPool2::new, &x, &dy_small);
+        warm_step_matches_fresh(AvgPoolGlobal::new, &x, &dy_flat);
+        let dx = warm_step_matches_fresh(Flatten::new, &x, &x.clone().reshape(&[2, 48]));
+        assert_eq!(dx.dims(), &[2, 3, 4, 4]);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Residual (skip-connection) blocks, the structural motif of the paper's
 //! ResNetV2 model.
 
-use crate::layer::Layer;
+use crate::layer::{pooled_copy, Layer};
 use crate::model::Sequential;
-use vc_tensor::Tensor;
+use vc_tensor::{Tensor, Workspace};
 
 /// A residual block: `y = F(x) + x`, where `F` is an inner [`Sequential`]
 /// whose output shape must equal its input shape.
@@ -27,8 +27,9 @@ impl Residual {
 }
 
 impl Layer for Residual {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let fx = self.body.forward(x, train);
+    fn forward_ws(&mut self, x: Tensor, train: bool, ws: &mut Workspace) -> Tensor {
+        // The body consumes a copy; the skip path keeps the original.
+        let mut fx = self.body.forward_ws(pooled_copy(&x, ws), train, ws);
         assert_eq!(
             fx.dims(),
             x.dims(),
@@ -36,11 +37,20 @@ impl Layer for Residual {
             x.dims(),
             fx.dims()
         );
-        fx.add(x)
+        for (f, v) in fx.data_mut().iter_mut().zip(x.data()) {
+            *f += v;
+        }
+        ws.recycle(x.into_vec());
+        fx
     }
 
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
-        self.body.backward(dy).add(dy)
+    fn backward_ws(&mut self, dy: Tensor, ws: &mut Workspace) -> Tensor {
+        let mut dx = self.body.backward_ws(pooled_copy(&dy, ws), ws);
+        for (d, g) in dx.data_mut().iter_mut().zip(dy.data()) {
+            *d += g;
+        }
+        ws.recycle(dy.into_vec());
+        dx
     }
 
     fn param_len(&self) -> usize {

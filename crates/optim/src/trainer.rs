@@ -8,7 +8,7 @@ use vc_nn::{Layer, Sequential, SoftmaxCrossEntropy};
 use vc_telemetry::{Histogram, Telemetry};
 use vc_tensor::{Tensor, Workspace};
 
-/// Statistics from one pass of [`train_minibatch`].
+/// Statistics from one pass of [`train_minibatch_ws`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TrainBatchStats {
     /// Mean training loss over all processed batches.
@@ -63,81 +63,14 @@ pub struct StepTimer<'a> {
 /// with shuffled mini-batches, clipping gradients at `clip_norm` (pass
 /// `f32::INFINITY` to disable). This is precisely what a volunteer client
 /// executes for one training subtask.
-#[allow(clippy::too_many_arguments)]
-pub fn train_minibatch<R: Rng>(
-    model: &mut Sequential,
-    opt: &mut Optimizer,
-    images: &Tensor,
-    labels: &[usize],
-    batch_size: usize,
-    local_epochs: usize,
-    clip_norm: f32,
-    rng: &mut R,
-) -> TrainBatchStats {
-    let n = images.dims()[0];
-    assert_eq!(n, labels.len(), "images/labels length mismatch");
-    assert!(batch_size > 0, "batch_size must be positive");
-    let sample_len: usize = images.dims()[1..].iter().product();
-
-    let mut order: Vec<usize> = (0..n).collect();
-    let mut total_loss = 0.0;
-    let mut steps = 0usize;
-    let mut samples = 0usize;
-
-    let mut params = model.params_flat();
-    for _ in 0..local_epochs {
-        order.shuffle(rng);
-        for chunk in order.chunks(batch_size) {
-            // Gather the shuffled batch.
-            let mut batch_data = Vec::with_capacity(chunk.len() * sample_len);
-            let mut batch_labels = Vec::with_capacity(chunk.len());
-            for &idx in chunk {
-                batch_data
-                    .extend_from_slice(&images.data()[idx * sample_len..(idx + 1) * sample_len]);
-                batch_labels.push(labels[idx]);
-            }
-            let mut dims = vec![chunk.len()];
-            dims.extend_from_slice(&images.dims()[1..]);
-            let batch = Tensor::from_vec(batch_data, &dims);
-
-            let logits = model.forward(&batch, true);
-            let (loss, dlogits) = SoftmaxCrossEntropy::loss_and_grad(&logits, &batch_labels);
-            model.zero_grads_all();
-            model.backward(&dlogits);
-            let mut grads = model.grads_flat();
-            if clip_norm.is_finite() {
-                clip_by_global_norm(&mut grads, clip_norm);
-            }
-            opt.step(&mut params, &grads);
-            model.set_params_flat(&params);
-
-            total_loss += loss;
-            steps += 1;
-            samples += chunk.len();
-        }
-    }
-
-    TrainBatchStats {
-        mean_loss: if steps == 0 {
-            0.0
-        } else {
-            total_loss / steps as f32
-        },
-        steps,
-        samples,
-    }
-}
-
-/// [`train_minibatch`] through the zero-allocation workspace path: tensors
-/// move by value through the layer chain drawing buffers from `tws`, the
-/// ReLU activations are fused into the GEMM epilogues, and the flat
-/// parameter/gradient vectors are reused across steps. The backward pass
-/// computes only what the optimizer reads: it stops at the first layer
+///
+/// Tensors move by value through the layer chain drawing buffers from
+/// `tws`, the ReLU activations are fused into the GEMM epilogues, and the
+/// flat parameter/gradient vectors are reused across steps. The backward
+/// pass computes only what the optimizer reads: it stops at the first layer
 /// with parameters and never computes that layer's input gradient (see
-/// [`Layer::backward_params_ws`]). Bit-identical to
-/// [`train_minibatch`] for the same inputs and RNG — the fused kernels
-/// perform the same floating-point operations in the same order — so the
-/// two variants are interchangeable mid-run.
+/// [`Layer::backward_params_ws`]). None of this moves a bit: the trainer's
+/// tests pin it against an unfused, full-backward, fresh-workspace loop.
 ///
 /// When `timer` is given, each optimizer step's duration is observed into
 /// its histogram.
@@ -235,6 +168,74 @@ mod tests {
     use vc_nn::spec::{mlp, resnet_lite, small_cnn};
     use vc_tensor::NormalSampler;
 
+    /// [`train_minibatch_ws`] on a fresh workspace, without a timer.
+    #[allow(clippy::too_many_arguments)]
+    fn train(
+        model: &mut Sequential,
+        opt: &mut Optimizer,
+        images: &Tensor,
+        labels: &[usize],
+        batch_size: usize,
+        local_epochs: usize,
+        clip_norm: f32,
+        rng: &mut StdRng,
+    ) -> TrainBatchStats {
+        let mut tws = TrainWorkspace::new();
+        train_minibatch_ws(
+            model,
+            opt,
+            images,
+            labels,
+            batch_size,
+            local_epochs,
+            clip_norm,
+            rng,
+            &mut tws,
+            None,
+        )
+    }
+
+    /// The reference the bit-identity test holds the trainer to: the same
+    /// shuffle and step order, but no ReLU fusion, a full backward down to
+    /// the input, and a fresh workspace every step.
+    #[allow(clippy::too_many_arguments)]
+    fn reference_train(
+        model: &mut Sequential,
+        opt: &mut Optimizer,
+        images: &Tensor,
+        labels: &[usize],
+        batch_size: usize,
+        local_epochs: usize,
+        clip_norm: f32,
+        rng: &mut StdRng,
+    ) {
+        let sample_len: usize = images.dims()[1..].iter().product();
+        let mut order: Vec<usize> = (0..labels.len()).collect();
+        let mut params = model.params_flat();
+        for _ in 0..local_epochs {
+            order.shuffle(rng);
+            for chunk in order.chunks(batch_size) {
+                let mut data = Vec::new();
+                let mut batch_labels = Vec::new();
+                for &i in chunk {
+                    data.extend_from_slice(&images.data()[i * sample_len..(i + 1) * sample_len]);
+                    batch_labels.push(labels[i]);
+                }
+                let mut dims = images.dims().to_vec();
+                dims[0] = chunk.len();
+                let mut ws = Workspace::new();
+                let logits = model.forward_ws(Tensor::from_vec(data, &dims), true, &mut ws);
+                let (_, dy) = SoftmaxCrossEntropy::loss_and_grad_ws(logits, &batch_labels);
+                model.zero_grads_all();
+                let _ = model.backward_ws(dy, &mut ws);
+                let mut grads = model.grads_flat();
+                clip_by_global_norm(&mut grads, clip_norm);
+                opt.step(&mut params, &grads);
+                model.set_params_flat(&params);
+            }
+        }
+    }
+
     /// Two linearly separable Gaussian blobs.
     fn blobs(n: usize, seed: u64) -> (Tensor, Vec<usize>) {
         let mut s = NormalSampler::seed_from(seed);
@@ -263,7 +264,7 @@ mod tests {
         .build(model.param_count());
         let (x, y) = blobs(200, 2);
         let mut rng = StdRng::seed_from_u64(3);
-        let stats = train_minibatch(&mut model, &mut opt, &x, &y, 32, 10, 5.0, &mut rng);
+        let stats = train(&mut model, &mut opt, &x, &y, 32, 10, 5.0, &mut rng);
         assert!(stats.steps > 0);
         assert_eq!(stats.samples, 2000);
         let (_, acc) = evaluate(&mut model, &x, &y, 64);
@@ -277,11 +278,11 @@ mod tests {
         let mut opt = OptimizerSpec::Sgd { lr: 0.1 }.build(model.param_count());
         let (x, y) = blobs(100, 5);
         let mut rng = StdRng::seed_from_u64(6);
-        let first = train_minibatch(&mut model, &mut opt, &x, &y, 16, 1, f32::INFINITY, &mut rng);
+        let first = train(&mut model, &mut opt, &x, &y, 16, 1, f32::INFINITY, &mut rng);
         for _ in 0..5 {
-            train_minibatch(&mut model, &mut opt, &x, &y, 16, 1, f32::INFINITY, &mut rng);
+            train(&mut model, &mut opt, &x, &y, 16, 1, f32::INFINITY, &mut rng);
         }
-        let last = train_minibatch(&mut model, &mut opt, &x, &y, 16, 1, f32::INFINITY, &mut rng);
+        let last = train(&mut model, &mut opt, &x, &y, 16, 1, f32::INFINITY, &mut rng);
         assert!(last.mean_loss < first.mean_loss);
     }
 
@@ -293,7 +294,7 @@ mod tests {
             let mut opt = OptimizerSpec::paper_adam().build(model.param_count());
             let (x, y) = blobs(50, 8);
             let mut rng = StdRng::seed_from_u64(9);
-            train_minibatch(&mut model, &mut opt, &x, &y, 10, 2, 1.0, &mut rng);
+            train(&mut model, &mut opt, &x, &y, 10, 2, 1.0, &mut rng);
             model.params_flat()
         };
         assert_eq!(run(), run());
@@ -315,13 +316,30 @@ mod tests {
                 let mut model = spec.build(21);
                 let mut opt = OptimizerSpec::paper_adam().build(model.param_count());
                 let mut rng = StdRng::seed_from_u64(22);
-                train_minibatch(&mut model, &mut opt, x, y, 16, 3, 1.0, &mut rng);
+                reference_train(&mut model, &mut opt, x, y, 16, 3, 1.0, &mut rng);
                 model.params_flat()
             };
             let mut model = spec.build(21);
             let mut opt = OptimizerSpec::paper_adam().build(model.param_count());
             let mut rng = StdRng::seed_from_u64(22);
+            // A workspace already warmed by another model's run, so reuse
+            // of recycled buffers is part of what is compared.
             let mut tws = TrainWorkspace::new();
+            let mut warm = spec.build(99);
+            let mut warm_opt = OptimizerSpec::paper_adam().build(warm.param_count());
+            let mut warm_rng = StdRng::seed_from_u64(98);
+            train_minibatch_ws(
+                &mut warm,
+                &mut warm_opt,
+                x,
+                y,
+                16,
+                1,
+                1.0,
+                &mut warm_rng,
+                &mut tws,
+                None,
+            );
             let stats = train_minibatch_ws(
                 &mut model, &mut opt, x, y, 16, 3, 1.0, &mut rng, &mut tws, None,
             );
@@ -393,7 +411,7 @@ mod tests {
         let mut opt = OptimizerSpec::Sgd { lr: 0.01 }.build(model.param_count());
         let (x, y) = blobs(5, 11);
         let mut rng = StdRng::seed_from_u64(12);
-        let stats = train_minibatch(&mut model, &mut opt, &x, &y, 64, 1, 1.0, &mut rng);
+        let stats = train(&mut model, &mut opt, &x, &y, 64, 1, 1.0, &mut rng);
         assert_eq!(stats.steps, 1);
         assert_eq!(stats.samples, 5);
     }
